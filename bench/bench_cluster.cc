@@ -117,8 +117,8 @@ ScalingResult MeasureScalingOnce(int shards, const Sizes& sizes) {
     }
     round_ns.push_back(slowest + timing.serial_ns);
   }
-  // Median round's critical path scaled to the horizon — the same
-  // preemption-robust model clock as bench_serving_mt.
+  // Median round's critical path scaled to the horizon: a model clock that
+  // host preemption of one shard's tick cannot inflate.
   std::sort(round_ns.begin(), round_ns.end());
   result.model_seconds = static_cast<double>(round_ns[round_ns.size() / 2]) *
                          1e-9 * static_cast<double>(sizes.rounds);

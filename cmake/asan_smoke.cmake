@@ -20,9 +20,8 @@ endif()
 execute_process(
   COMMAND ${CMAKE_COMMAND} --build ${BINARY_DIR}
           --target location_cursor_test serving_equivalence_test
-                   fault_injection_test sharded_serving_test
-                   traffic_engine_test cluster_test storage_backend_test
-                   governor_property_test
+                   fault_injection_test traffic_engine_test cluster_test
+                   storage_backend_test governor_property_test
   RESULT_VARIABLE build_result)
 if(build_result)
   message(FATAL_ERROR "ASan build failed: ${build_result}")
@@ -30,7 +29,7 @@ endif()
 
 execute_process(
   COMMAND ${CMAKE_CTEST_COMMAND} --test-dir ${BINARY_DIR}
-          -R "location_cursor_test|serving_equivalence_test|^fault_injection_test$|sharded_serving_test|traffic_engine_test|^cluster_test$|storage_backend_test|governor_property_test"
+          -R "location_cursor_test|serving_equivalence_test|^fault_injection_test$|traffic_engine_test|^cluster_test$|storage_backend_test|governor_property_test"
           --output-on-failure
   RESULT_VARIABLE test_result)
 if(test_result)

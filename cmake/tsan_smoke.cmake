@@ -20,8 +20,7 @@ endif()
 execute_process(
   COMMAND ${CMAKE_COMMAND} --build ${BINARY_DIR}
           --target thread_pool_test parallel_plan_test fault_injection_test
-                   seqlock_test sharded_serving_test cluster_test
-                   storage_backend_test governor_property_test
+                   cluster_test storage_backend_test governor_property_test
   RESULT_VARIABLE build_result)
 if(build_result)
   message(FATAL_ERROR "TSan build failed: ${build_result}")
@@ -29,7 +28,7 @@ endif()
 
 execute_process(
   COMMAND ${CMAKE_CTEST_COMMAND} --test-dir ${BINARY_DIR}
-          -R "thread_pool_test|parallel_plan_test|^fault_injection_test$|seqlock_test|sharded_serving_test|^cluster_test$|storage_backend_test|governor_property_test"
+          -R "thread_pool_test|parallel_plan_test|^fault_injection_test$|^cluster_test$|storage_backend_test|governor_property_test"
           --output-on-failure
   RESULT_VARIABLE test_result)
 if(test_result)

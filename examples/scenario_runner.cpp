@@ -5,11 +5,6 @@
 //   ./build/examples/scenario_runner path/to/script.scn
 //   ./build/examples/scenario_runner            # runs the built-in demo
 //
-// `--sharded[=N]` serves through the thread-per-core sharded runtime
-// (N shards, default 4) instead of the serial batch-cursor path; every
-// summary number must come out identical either way — the sharded round
-// is byte-identical to the serial one by contract.
-//
 // `--cluster[=N]` runs the script against an N-server-shard ClusterServer
 // (default 2) through the cluster interpreter, which adds the `addshard`,
 // `removeshard` and `scaledisks` commands (see src/cluster/
@@ -80,19 +75,10 @@ void PrintSummary(const scaddar::ScenarioResult& result) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  int sharded = 0;
   int cluster_shards = 0;
   const char* path = nullptr;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--sharded") == 0) {
-      sharded = 4;
-    } else if (std::strncmp(argv[i], "--sharded=", 10) == 0) {
-      sharded = std::atoi(argv[i] + 10);
-      if (sharded < 1) {
-        std::fprintf(stderr, "bad shard count in %s\n", argv[i]);
-        return 1;
-      }
-    } else if (std::strcmp(argv[i], "--cluster") == 0) {
+    if (std::strcmp(argv[i], "--cluster") == 0) {
       cluster_shards = 2;
     } else if (std::strncmp(argv[i], "--cluster=", 10) == 0) {
       cluster_shards = std::atoi(argv[i] + 10);
@@ -125,11 +111,6 @@ int main(int argc, char** argv) {
   config.master_seed = 0x5ce11ull;
   // Journaled migration so scripts may use the `crash` command.
   config.journal_migration = true;
-  if (sharded > 0) {
-    config.serving_path = scaddar::ServingPath::kShardedCursor;
-    config.serving_shards = sharded;
-    std::printf("serving path: sharded cursor, %d shards\n", sharded);
-  }
 
   if (cluster_shards > 0) {
     scaddar::ClusterConfig cluster_config;

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Diff two BENCH_*.json files and fail on throughput regressions.
 
-The bench binaries (bench_serving, bench_serving_mt, bench_cluster,
+The bench binaries (bench_serving, bench_cluster,
 bench_remap_throughput, bench_lookup, bench_movement, ...) all emit the
 standardized `BenchJson` schema:
 

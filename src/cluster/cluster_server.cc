@@ -177,8 +177,6 @@ ClusterRoundMetrics ClusterServer::TickSerialized(ClusterTickTiming* timing) {
 ClusterRoundMetrics ClusterServer::RunRound(bool serialize,
                                             ClusterTickTiming* timing) {
   const int64_t n = static_cast<int64_t>(shards_.size());
-  published_.Publish(ClusterEpoch{round_, map_.epoch(),
-                                  static_cast<int32_t>(n), 0});
   std::vector<RoundMetrics> per_shard(static_cast<size_t>(n));
 
   if (serialize || n == 1) {
@@ -199,19 +197,19 @@ ClusterRoundMetrics ClusterServer::RunRound(bool serialize,
       pool_ = std::make_unique<ThreadPool>(
           std::min(static_cast<int>(n), hw));
     }
-    const uint64_t pinned = published_.sequence();
-    pool_->ParallelFor(0, n, [this, pinned, &per_shard](int64_t begin,
-                                                        int64_t end) {
-      const ClusterEpoch epoch = published_.Read();
-      SCADDAR_CHECK(epoch.round == round_);
-      SCADDAR_CHECK(epoch.map_epoch == map_.epoch());
-      SCADDAR_CHECK(published_.sequence() == pinned);
+    // Each worker ticks only its own shards; the cluster's round and
+    // membership may change only in the serial sections, which the join
+    // orders after every worker.
+    const int64_t round = round_;
+    const int64_t map_epoch = map_.epoch();
+    pool_->ParallelFor(0, n, [this, &per_shard](int64_t begin, int64_t end) {
       for (int64_t i = begin; i < end; ++i) {
         per_shard[static_cast<size_t>(i)] =
             shards_[static_cast<size_t>(i)].server->Tick();
       }
     });
-    SCADDAR_CHECK(published_.sequence() == pinned);
+    SCADDAR_CHECK(round_ == round);
+    SCADDAR_CHECK(map_.epoch() == map_epoch);
   }
 
   // Serial tail, shard creation order throughout: merge, cross-shard pump,

@@ -11,7 +11,6 @@
 #include "server/config.h"
 #include "server/server.h"
 #include "server/workload/traffic_engine.h"
-#include "util/epoch.h"
 #include "util/statusor.h"
 #include "util/thread_pool.h"
 
@@ -64,17 +63,6 @@ struct ClusterTickTiming {
   int64_t serial_ns = 0;          // Merge + cross-shard pump + retirement.
 };
 
-/// The epoch descriptor the coordinator publishes before fanning a round out
-/// to the pool; workers re-read and validate it, proving membership cannot
-/// change mid-round (same seqlock idiom as the sharded scheduler's
-/// `RoundEpoch`).
-struct ClusterEpoch {
-  int64_t round = 0;
-  int64_t map_epoch = 0;
-  int32_t num_shards = 0;
-  int32_t padding = 0;
-};
-
 /// A cluster of independent `CmServer` shards behind one façade — the
 /// scale-*out* axis to the shards' internal scale-*up* (disk scaling).
 ///
@@ -118,9 +106,9 @@ class ClusterServer {
   Status SeekStream(int64_t stream_id, BlockIndex block);
 
   // --- Rounds. ----------------------------------------------------------
-  /// One cluster round: publish the epoch, tick every shard in parallel on
-  /// the pool, merge metrics serially in shard order, pump cross-shard
-  /// copies and commit completed transfers, retire drained shards.
+  /// One cluster round: tick every shard in parallel on the pool, merge
+  /// metrics serially in shard order, pump cross-shard copies and commit
+  /// completed transfers, retire drained shards.
   ClusterRoundMetrics Tick();
 
   /// Identical outcome to `Tick`, but shards run one-by-one with per-shard
@@ -214,9 +202,6 @@ class ClusterServer {
   /// concatenated over live shards in creation order.
   std::vector<int64_t> StartupLatencies() const;
 
-  /// Last published epoch (tests assert workers saw a coherent view).
-  ClusterEpoch PublishedEpoch() const { return published_.Read(); }
-
   // --- Checkpoint/restart (src/recovery). --------------------------------
   /// Serializes the whole cluster — seat table, owner directory and one
   /// nested server snapshot per shard — into one checksummed document.
@@ -280,7 +265,6 @@ class ClusterServer {
   std::unordered_map<ObjectId, int> owner_; // Materialized truth.
   std::vector<ObjectId> objects_;           // Insertion order (determinism).
   CrossShardMigrator migrator_;
-  Published<ClusterEpoch> published_;
   std::unique_ptr<ThreadPool> pool_;        // Lazy; >1 live shard only.
 
   int64_t round_ = 0;

@@ -84,7 +84,7 @@ Status OpLog::Append(const ScalingOp& op) {
     next_physical_id_ += op.add_count();
   }
   pi_.MultiplyBy(static_cast<uint64_t>(n_cur));
-  revision_.Bump();
+  ++revision_;
   return OkStatus();
 }
 

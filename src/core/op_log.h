@@ -8,7 +8,6 @@
 
 #include "core/scaling_op.h"
 #include "core/types.h"
-#include "util/epoch.h"
 #include "util/intmath.h"
 #include "util/statusor.h"
 
@@ -56,13 +55,7 @@ class OpLog {
   /// a compiled snapshot (`CompiledLog`) detect staleness with one integer
   /// compare instead of recompiling defensively; unlike `num_ops()` it is
   /// explicitly a change-detection token, not a semantic quantity.
-  ///
-  /// Concurrency: the read is an acquire-load and `Append`'s bump a release
-  /// store (`RevisionCounter`), so sharded serving workers that validate a
-  /// cursor window against the revision observe every log write the bump
-  /// published. Appends themselves stay single-writer: the runtime applies
-  /// scaling ops only between rounds, while no worker reads.
-  int64_t revision() const { return revision_.Load(); }
+  int64_t revision() const { return revision_; }
 
   /// `N_j` for `j` in `[0, num_ops()]` (checked).
   int64_t disks_after(Epoch j) const;
@@ -119,7 +112,7 @@ class OpLog {
   std::vector<std::vector<PhysicalDiskId>> physical_by_epoch_;
   PhysicalDiskId next_physical_id_ = 0;
   SaturatingProduct pi_;
-  RevisionCounter revision_;
+  int64_t revision_ = 0;
 };
 
 }  // namespace scaddar

@@ -8,11 +8,8 @@
 
 namespace scaddar {
 
-/// The shared key->shard router core: Lamping & Veach's jump consistent
-/// hash over a dynamic *seat* table. Both shard routers in the tree sit on
-/// top of it — the serving runtime's stream->worker-shard router
-/// (`server/shard_router`) and the cluster layer's object->server-shard
-/// router (`cluster/cluster_server`).
+/// The cluster layer's object->server-shard router (`cluster/cluster_server`):
+/// Lamping & Veach's jump consistent hash over a dynamic *seat* table.
 ///
 /// Seats vs. members: jump hash maps a key to seat `JumpBucket(key,
 /// num_seats)`; each seat is occupied by a *member* (a stable shard

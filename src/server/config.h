@@ -16,15 +16,6 @@ enum class ServingPath {
   kBatchCursor,
   /// Original per-block store hash lookups (the materialized-truth oracle).
   kStoreScalar,
-  /// Per-block virtual `Locate` chain replays. Valid only while no
-  /// migration is pending; exists as the bench baseline.
-  kPolicyScalar,
-  /// Thread-per-core sharded runtime: streams are partitioned across
-  /// worker shards (jump-hash on the stream id) that resolve locations in
-  /// parallel with no locks, then a serial commit applies budgets in the
-  /// oracle's order — byte-identical results to `kBatchCursor` for any
-  /// shard count.
-  kShardedCursor,
 };
 
 /// Configuration of the simulated continuous media server. The simulation
@@ -62,10 +53,6 @@ struct ServerConfig {
 
   /// Serving-path implementation the scheduler uses each Tick.
   ServingPath serving_path = ServingPath::kBatchCursor;
-
-  /// Worker shards for `ServingPath::kShardedCursor` (ignored otherwise).
-  /// 0 = one shard per hardware core.
-  int serving_shards = 0;
 
   /// First stream id this server hands out (ids count up from here). The
   /// cluster layer gives each server shard a disjoint id range so stream

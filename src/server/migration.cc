@@ -308,6 +308,19 @@ int64_t MigrationExecutor::RunRound(
       });
       SCADDAR_CHECK(applied.ok());
     } else if (io_ != nullptr) {
+      // Locations flip only after this loop, so a duplicate entry for a
+      // block staged earlier this round still reads the old location. Give
+      // its bandwidth back; retry it next round if it now wants another
+      // target.
+      const StatusOr<PhysicalDiskId> staged_to = store.StagedTarget(ref);
+      if (staged_to.ok()) {
+        ++src->second;
+        ++dst->second;
+        if (*staged_to != target) {
+          PushRef(ref);
+        }
+        continue;
+      }
       // Two-phase stage pass: log the intent and allocate the staged slot;
       // the bytes move (and the copied/commit records follow) after the
       // loop, once the engine has pushed the whole round's copies down.

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <charconv>
 #include <optional>
-#include <thread>
 
 #include "faults/injector.h"
 #include "recovery/checkpoint_manager.h"
@@ -78,9 +77,6 @@ Status CmServer::SelectBackend(std::string_view spec, int queue_depth) {
     store_.AttachIoEngine(nullptr);
     migration_.AttachIoEngine(nullptr);
     scheduler_.set_io_engine(nullptr);
-    if (sharded_scheduler_ != nullptr) {
-      sharded_scheduler_->set_io_engine(nullptr);
-    }
     io_engine_.reset();
     config_.storage_backend = "sim";
     return OkStatus();
@@ -112,9 +108,6 @@ Status CmServer::SelectBackend(std::string_view spec, int queue_depth) {
   store_.AttachIoEngine(io_engine_.get());
   migration_.AttachIoEngine(io_engine_.get());
   scheduler_.set_io_engine(io_engine_.get());
-  if (sharded_scheduler_ != nullptr) {
-    sharded_scheduler_->set_io_engine(io_engine_.get());
-  }
   // Real bytes only move under the WAL protocol: the two-phase round needs
   // journal ids to abort failed copies, and recovery needs the journal to
   // validate staged images.
@@ -315,26 +308,6 @@ RoundMetrics CmServer::Tick() {
     case ServingPath::kStoreScalar:
       service = scheduler_.Run(streams_, store_, disks_, &leftover);
       break;
-    case ServingPath::kPolicyScalar:
-      service = scheduler_.RunScalarLocate(streams_, *policy_, disks_,
-                                           &leftover);
-      break;
-    case ServingPath::kShardedCursor: {
-      if (sharded_scheduler_ == nullptr) {
-        int shards = config_.serving_shards;
-        if (shards <= 0) {
-          shards = static_cast<int>(std::thread::hardware_concurrency());
-        }
-        sharded_scheduler_ = std::make_unique<ShardedScheduler>(
-            std::max(shards, 1), config_.master_seed ^ 0x5aa2dull);
-        sharded_scheduler_->set_io_engine(io_engine_.get());
-      }
-      service = sharded_scheduler_->Run(streams_, *policy_, migration_,
-                                        store_, disks_, &leftover,
-                                        ShardedRunOptions{},
-                                        &last_sharded_round_);
-      break;
-    }
   }
   metrics.requests = service.requests;
   metrics.served = service.served;
@@ -1092,8 +1065,6 @@ StatusOr<CheckpointRestoreStats> CmServer::KillRestartFromCheckpoint() {
   migration_.AttachJournal(&journal_);
   SCADDAR_ASSIGN_OR_RETURN(reorg_, BuildReorgDriver(config_));
   reorg_.set_enabled(config_.auto_reorg);
-  sharded_scheduler_.reset();
-  last_sharded_round_ = ShardedRoundStats{};
   streams_.clear();
   streams_per_object_.clear();
   retiring_.clear();

@@ -14,7 +14,6 @@
 #include "server/migration.h"
 #include "server/reorg_driver.h"
 #include "server/scheduler.h"
-#include "server/sharded_scheduler.h"
 #include "server/stream.h"
 #include "storage/block_store.h"
 #include "storage/catalog.h"
@@ -281,19 +280,6 @@ class CmServer {
   DiskArray& disks() { return disks_; }
   const MigrationExecutor& migration() const { return migration_; }
   const MoveJournal& journal() const { return journal_; }
-
-  /// The sharded serving runtime, if any Tick has used it (null before the
-  /// first `ServingPath::kShardedCursor` round). Exposed for benches and
-  /// tests that read per-shard stats.
-  const ShardedScheduler* sharded_scheduler() const {
-    return sharded_scheduler_.get();
-  }
-
-  /// Per-round stats of the last sharded Tick (empty shards vector if the
-  /// sharded path has not run).
-  const ShardedRoundStats& last_sharded_round() const {
-    return last_sharded_round_;
-  }
   const std::vector<Stream>& streams() const { return streams_; }
   const AdmissionController& admission() const { return admission_; }
 
@@ -376,8 +362,6 @@ class CmServer {
   std::unique_ptr<BlockIoEngine> io_engine_;  // Null when backend == "sim".
   BlockStore store_;
   RoundScheduler scheduler_;
-  std::unique_ptr<ShardedScheduler> sharded_scheduler_;  // Lazy.
-  ShardedRoundStats last_sharded_round_;
   MigrationExecutor migration_;
   AdaptiveReorgDriver reorg_;
   MoveJournal journal_;

@@ -40,11 +40,6 @@ class Stream {
   /// The block was delivered this round; advance playback.
   void DeliverBlock() { ++next_block_; }
 
-  /// `n` consecutive blocks delivered this round — equivalent to calling
-  /// `DeliverBlock` `n` times. Lets a batched commit touch the stream once
-  /// per round instead of once per block.
-  void DeliverBlocks(int64_t n) { next_block_ += n; }
-
   /// The block was not delivered; stall and count the glitch.
   void RecordHiccup() { ++hiccups_; }
 

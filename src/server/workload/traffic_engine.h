@@ -72,8 +72,9 @@ struct RoundTraffic {
   std::vector<SeekEvent> seeks;       // Streams jumping position.
 };
 
-/// Seeded, replayable traffic generator for the serving benches and the
-/// sharded-runtime stress tests: Zipf object popularity, a diurnal load
+/// Seeded, replayable traffic generator for the serving benches, the
+/// scenario DSL and the twin-server stress tests: Zipf object popularity,
+/// a diurnal load
 /// curve, scheduled flash crowds and per-stream VCR events (pause / resume
 /// / random seek), all drawn from one private PRNG so a `(config, server
 /// history)` pair maps to exactly one traffic trace.

@@ -23,8 +23,8 @@ Status BlockStore::PlaceObject(ObjectId id,
   for (const PhysicalDiskId disk : locations) {
     AdjustDisk(disk, 1);
   }
-  mutation_revision_.Bump();
-  row_revisions_[id].Bump();
+  ++mutation_revision_;
+  ++row_revisions_[id];
   return OkStatus();
 }
 
@@ -50,8 +50,8 @@ Status BlockStore::DropObject(ObjectId id) {
   }
   total_blocks_ -= static_cast<int64_t>(it->second.size());
   locations_.erase(it);
-  mutation_revision_.Bump();
-  row_revisions_[id].Bump();
+  ++mutation_revision_;
+  ++row_revisions_[id];
   return OkStatus();
 }
 
@@ -66,7 +66,7 @@ StatusOr<std::span<const PhysicalDiskId>> BlockStore::LocationsOf(
 
 int64_t BlockStore::RowRevision(ObjectId id) const {
   const auto it = row_revisions_.find(id);
-  return it == row_revisions_.end() ? 0 : it->second.Load();
+  return it == row_revisions_.end() ? 0 : it->second;
 }
 
 StatusOr<PhysicalDiskId> BlockStore::LocationOf(BlockRef ref) const {
@@ -102,8 +102,8 @@ Status BlockStore::ApplyMove(const BlockMove& move) {
   location = move.to_physical;
   AdjustDisk(move.from_physical, -1);
   AdjustDisk(move.to_physical, 1);
-  mutation_revision_.Bump();
-  row_revisions_[move.block.object].Bump();
+  ++mutation_revision_;
+  ++row_revisions_[move.block.object];
   return OkStatus();
 }
 
@@ -130,7 +130,7 @@ Status BlockStore::StageCopy(BlockRef ref, PhysicalDiskId to) {
   object_staged.emplace(ref.block, to);
   AdjustDisk(to, 1);
   ++staged_count_;
-  mutation_revision_.Bump();
+  ++mutation_revision_;
   return OkStatus();
 }
 
@@ -167,8 +167,8 @@ Status BlockStore::CommitStagedMove(BlockRef ref, PhysicalDiskId from,
   }
   --staged_count_;
   AdjustDisk(from, -1);
-  mutation_revision_.Bump();
-  row_revisions_[ref.object].Bump();
+  ++mutation_revision_;
+  ++row_revisions_[ref.object];
   return OkStatus();
 }
 
@@ -190,7 +190,7 @@ Status BlockStore::AbortStagedCopy(BlockRef ref) {
     staged_.erase(staged);
   }
   --staged_count_;
-  mutation_revision_.Bump();
+  ++mutation_revision_;
   return OkStatus();
 }
 
@@ -263,11 +263,14 @@ int64_t BlockStore::CountOn(PhysicalDiskId disk) const {
 }
 
 void BlockStore::AdjustDisk(PhysicalDiskId disk, int64_t delta) {
-  int64_t& count = per_disk_counts_[disk];
-  count += delta;
-  SCADDAR_CHECK(count >= 0);
-  if (count == 0) {
-    per_disk_counts_.erase(disk);
+  // Ingest calls this once per block. `try_emplace` has no other caller in
+  // this file, so GCC keeps its lookup inline here; `operator[]` on the same
+  // map type serves the row revisions too and is not inlined.
+  const auto count = per_disk_counts_.try_emplace(disk, 0).first;
+  count->second += delta;
+  SCADDAR_CHECK(count->second >= 0);
+  if (count->second == 0) {
+    per_disk_counts_.erase(count);
   }
   if (disks_ != nullptr) {
     StatusOr<SimDisk*> sim = disks_->GetDisk(disk);

@@ -10,7 +10,6 @@
 #include "core/types.h"
 #include "placement/policy.h"
 #include "storage/disk_array.h"
-#include "util/epoch.h"
 #include "util/statusor.h"
 
 namespace scaddar {
@@ -57,20 +56,12 @@ class BlockStore {
   /// `DropObject`, `ApplyMove`). Holders of cached location windows
   /// (`LocationCursor`) detect staleness with one integer compare, the same
   /// contract as `OpLog::revision()` on the placement side.
-  ///
-  /// Concurrency: reads are acquire-loads and bumps release stores
-  /// (`RevisionCounter`) — a sharded serving worker that observes revision
-  /// `r` also observes the row contents that mutation wrote. Mutations stay
-  /// single-writer: the runtime runs migration only between rounds, while
-  /// no shard worker reads.
-  int64_t mutation_revision() const { return mutation_revision_.Load(); }
+  int64_t mutation_revision() const { return mutation_revision_; }
 
   /// Monotonic counter bumped only by mutations touching `id`'s row (0 for
   /// unknown objects). Lets a cached window survive other objects' moves:
   /// a cursor that sees the global revision advance re-checks just its own
-  /// row before paying a refill. Same acquire/release contract as
-  /// `mutation_revision()`; the *map* lookup is safe under concurrent
-  /// readers because only the quiesced coordinator inserts rows.
+  /// row before paying a refill.
   int64_t RowRevision(ObjectId id) const;
 
   /// Executes one relocation; fails (without side effects) if the block is
@@ -138,14 +129,14 @@ class BlockStore {
   DiskArray* disks_;  // Not owned; may be null.
   BlockIoEngine* io_ = nullptr;  // Not owned; may be null.
   std::unordered_map<ObjectId, std::vector<PhysicalDiskId>> locations_;
-  std::unordered_map<ObjectId, RevisionCounter> row_revisions_;
+  std::unordered_map<ObjectId, int64_t> row_revisions_;
   std::unordered_map<PhysicalDiskId, int64_t> per_disk_counts_;
   // staged_[object][block] = disk holding the not-yet-committed copy.
   std::unordered_map<ObjectId, std::unordered_map<BlockIndex, PhysicalDiskId>>
       staged_;
   int64_t staged_count_ = 0;
   int64_t total_blocks_ = 0;
-  RevisionCounter mutation_revision_;
+  int64_t mutation_revision_ = 0;
 };
 
 }  // namespace scaddar

@@ -25,7 +25,6 @@ Status DiskArray::SyncLiveSet(const std::vector<PhysicalDiskId>& live) {
   }
   live_ = std::move(next_live);
   num_live_ = static_cast<int64_t>(live.size());
-  ++generation_;
   return OkStatus();
 }
 
@@ -36,7 +35,6 @@ Status DiskArray::AddDisk(PhysicalDiskId id, const DiskSpec& spec) {
   disks_.emplace(id, SimDisk(id, spec));
   live_[id] = true;
   ++num_live_;
-  ++generation_;
   return OkStatus();
 }
 

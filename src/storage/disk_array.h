@@ -38,13 +38,6 @@ class DiskArray {
   std::vector<PhysicalDiskId> live_ids() const;
   int64_t num_live() const { return num_live_; }
 
-  /// Bumped on every live-set mutation (`SyncLiveSet`, `AddDisk`). Lets
-  /// per-round consumers (the sharded commit phase) cache the live id list
-  /// and `SimDisk` pointers instead of re-resolving them every round:
-  /// `disks_` never erases entries, so cached pointers stay valid as long
-  /// as the generation matches.
-  uint64_t generation() const { return generation_; }
-
   /// Aggregate bandwidth of live disks (blocks per round).
   int64_t TotalBandwidth() const;
 
@@ -67,7 +60,6 @@ class DiskArray {
   std::unordered_map<PhysicalDiskId, SimDisk> disks_;
   std::unordered_map<PhysicalDiskId, bool> live_;
   int64_t num_live_ = 0;
-  uint64_t generation_ = 0;
 };
 
 }  // namespace scaddar

@@ -11,6 +11,7 @@
 
 #include <cstdlib>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "faults/injector.h"
@@ -262,6 +263,61 @@ TEST(FileBackendServerTest, UringSpecServesIdentically) {
     ASSERT_TRUE(obj.ok());
     ExpectImagesIntact(engine, object, obj->num_blocks);
   }
+}
+
+/// Overlapping scaling ops: a second op issued before the first drains
+/// re-queues blocks that are already queued, so a two-phase round can meet
+/// a block it staged earlier in the same round. The mem backend must skip
+/// that duplicate exactly as the one-phase sim round does and land the
+/// same placement, serving history and move count in the same rounds.
+TEST(MemBackendServerTest, OverlappingScalingOpsMatchSimulatedBackend) {
+  struct Run {
+    int64_t rounds = 0;
+    int64_t served = 0;
+    int64_t moved = 0;
+    std::vector<PhysicalDiskId> placement;
+    std::unordered_map<PhysicalDiskId, int64_t> per_disk;
+  };
+  const auto drive = [](const std::string& backend) {
+    ServerConfig config;
+    config.initial_disks = 8;
+    config.master_seed = 0x5ce11ull;
+    config.journal_migration = true;
+    config.storage_backend = backend;
+    auto server_or = CmServer::Create(config);
+    SCADDAR_CHECK(server_or.ok());
+    CmServer& server = **server_or;
+    SCADDAR_CHECK(server.AddObject(1, 4000).ok());
+    SCADDAR_CHECK(server.StartStream(1).ok());
+    for (int round = 0; round < 5; ++round) {
+      server.Tick();
+    }
+    SCADDAR_CHECK(server.ScaleAdd(2).ok());
+    server.Tick();
+    SCADDAR_CHECK(server.ScaleAdd(2).ok());
+    while (!server.migration().idle()) {
+      server.Tick();
+      SCADDAR_CHECK(server.round() < 10'000);
+    }
+    EXPECT_TRUE(server.VerifyIntegrity().ok()) << backend;
+    Run run;
+    run.rounds = server.round();
+    run.served = server.total_served();
+    run.moved = server.migration().total_moved();
+    const auto row = server.store().LocationsOf(1);
+    SCADDAR_CHECK(row.ok());
+    run.placement.assign(row->begin(), row->end());
+    run.per_disk = server.store().per_disk_counts();
+    return run;
+  };
+  const Run sim = drive("sim");
+  const Run mem = drive("mem");
+  EXPECT_EQ(sim.placement, mem.placement);
+  EXPECT_EQ(sim.per_disk, mem.per_disk);
+  EXPECT_EQ(sim.served, mem.served);
+  EXPECT_EQ(sim.moved, mem.moved);
+  EXPECT_EQ(sim.rounds, mem.rounds);
+  EXPECT_GT(sim.moved, 0);
 }
 
 // ---------------------------------------------------------------------------

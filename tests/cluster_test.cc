@@ -395,22 +395,6 @@ TEST(ClusterServerTest, SerializedAndPooledRoundsAreIdentical) {
   EXPECT_TRUE(serialized->VerifyIntegrity().ok());
 }
 
-TEST(ClusterServerTest, PublishesTheEpochWorkersValidate) {
-  auto cluster = ClusterServer::Create(SmallCluster(2)).value();
-  ASSERT_TRUE(cluster->AddObject(1, 240).ok());
-  cluster->Tick();
-  const ClusterEpoch epoch = cluster->PublishedEpoch();
-  EXPECT_EQ(epoch.round, 0);
-  EXPECT_EQ(epoch.map_epoch, 0);
-  EXPECT_EQ(epoch.num_shards, 2);
-  ASSERT_TRUE(cluster->AddServerShard().ok());
-  cluster->Tick();
-  const ClusterEpoch next = cluster->PublishedEpoch();
-  EXPECT_EQ(next.round, 1);
-  EXPECT_EQ(next.map_epoch, 1);
-  EXPECT_EQ(next.num_shards, 3);
-}
-
 TEST(ClusterServerTest, PerShardDiskScalingStaysOnline) {
   auto cluster = ClusterServer::Create(SmallCluster(2)).value();
   for (ObjectId id = 1; id <= 16; ++id) {

@@ -420,8 +420,7 @@ TEST_P(CrashMatrixTest, EveryCrashPointRecoversToIdenticalPlacement) {
 
 INSTANTIATE_TEST_SUITE_P(ServingPaths, CrashMatrixTest,
                          ::testing::Values(ServingPath::kBatchCursor,
-                                           ServingPath::kStoreScalar,
-                                           ServingPath::kPolicyScalar));
+                                           ServingPath::kStoreScalar));
 
 // ---------------------------------------------------------------------------
 // Crash-during-streaming: the recovery contract holds with live streams

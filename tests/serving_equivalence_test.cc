@@ -7,6 +7,7 @@
 #include "random/sequence.h"
 #include "server/migration.h"
 #include "server/server.h"
+#include "server/workload/traffic_engine.h"
 
 namespace scaddar {
 namespace {
@@ -203,6 +204,59 @@ TEST(ServingEquivalenceTest, BatchedServerMatchesStoreOracleThroughScaling) {
     ASSERT_EQ(a.migrated, b.migrated) << "round " << round;
     ASSERT_EQ(a.pending_migration, b.pending_migration) << "round " << round;
   }
+  EXPECT_EQ(batched->total_served(), oracle->total_served());
+  EXPECT_EQ(batched->total_hiccups(), oracle->total_hiccups());
+  EXPECT_GT(batched->total_served(), 0);
+}
+
+/// VCR-churn twin: seeded Zipf arrivals with pause/resume/seek and a flash
+/// crowd while the array scales up and down and migration rounds interleave,
+/// raced against a store-oracle server fed the identical traffic trace.
+/// Identical per-round metrics prove the cursor windows never serve a block
+/// from a stale location, lose one, or serve one twice.
+TEST(ServingEquivalenceTest, StressConcurrentScaleUpMatchesOracle) {
+  TrafficConfig traffic_config;
+  traffic_config.seed = 0x57e55ull;
+  traffic_config.arrivals_per_round = 2.0;
+  traffic_config.zipf_theta = 0.729;
+  traffic_config.pause_probability = 0.02;
+  traffic_config.resume_probability = 0.3;
+  traffic_config.seek_probability = 0.03;
+  traffic_config.flash_crowds.push_back(
+      FlashCrowd{.start_round = 40, .duration = 10, .rank = 0, .boost = 3});
+
+  auto batched = MakeServer(BaseConfig(ServingPath::kBatchCursor));
+  auto oracle = MakeServer(BaseConfig(ServingPath::kStoreScalar));
+  for (CmServer* server : {batched.get(), oracle.get()}) {
+    for (ObjectId id = 1; id <= 8; ++id) {
+      ASSERT_TRUE(server->AddObject(id, 120 + 40 * id).ok());
+    }
+  }
+  // Twin engines with the same seed fed identically evolving servers emit
+  // identical traces (the replayability contract doing double duty).
+  TrafficEngine batched_traffic(traffic_config);
+  TrafficEngine oracle_traffic(traffic_config);
+  batched_traffic.SetObjects(batched->catalog().object_ids());
+  oracle_traffic.SetObjects(oracle->catalog().object_ids());
+
+  for (int round = 0; round < 160; ++round) {
+    if (round == 30) {
+      ASSERT_TRUE(batched->ScaleAdd(3).ok());
+      ASSERT_TRUE(oracle->ScaleAdd(3).ok());
+    }
+    if (round == 90) {
+      ASSERT_TRUE(batched->ScaleRemove({2}).ok());
+      ASSERT_TRUE(oracle->ScaleRemove({2}).ok());
+    }
+    const RoundMetrics a = batched_traffic.DriveRound(*batched);
+    const RoundMetrics b = oracle_traffic.DriveRound(*oracle);
+    ASSERT_EQ(a.requests, b.requests) << "round " << round;
+    ASSERT_EQ(a.served, b.served) << "round " << round;
+    ASSERT_EQ(a.hiccups, b.hiccups) << "round " << round;
+    ASSERT_EQ(a.migrated, b.migrated) << "round " << round;
+  }
+  EXPECT_EQ(batched_traffic.rejected_arrivals(),
+            oracle_traffic.rejected_arrivals());
   EXPECT_EQ(batched->total_served(), oracle->total_served());
   EXPECT_EQ(batched->total_hiccups(), oracle->total_hiccups());
   EXPECT_GT(batched->total_served(), 0);
