@@ -79,8 +79,11 @@ struct FaultEvent {
   FaultKind kind = FaultKind::kCrash;
   /// The event is armed only during this round; -1 arms it every round.
   int64_t round = -1;
-  /// kCrash / kHook: fire at this 0-based move ordinal (moves are counted
-  /// across rounds since construction or `ResetMoveCount`).
+  /// kCrash / kHook: fire at this 0-based move ordinal. The ordinal counts
+  /// the moves the migration executor attempts — queue entries that passed
+  /// the round's bandwidth gate — across rounds since construction or
+  /// `ResetMoveCount`. Entries the gate turns away and entries that retire
+  /// for free are not counted.
   /// kSnapshotCrash / kSnapshotCorrupt: the 0-based snapshot ordinal
   /// (snapshots counted across the injector's lifetime by `BeginSnapshot`).
   int64_t move = 0;
@@ -158,8 +161,9 @@ class FaultInjector {
   /// once). The HA server calls this right after `BeginRound`.
   std::vector<PhysicalDiskId> TakeDiskFailures();
 
-  /// Called by the executor when a move is about to execute; advances the
-  /// move ordinal and fires any kHook event scheduled for it.
+  /// Called by the executor when a move is about to execute (its entry
+  /// passed the bandwidth gate); advances the move ordinal and fires any
+  /// kHook event scheduled for it.
   void BeginMove();
 
   /// True iff a kCrash event fires at this phase boundary of the current

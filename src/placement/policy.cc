@@ -1,14 +1,27 @@
 #include "placement/policy.h"
 
 #include <algorithm>
+#include <atomic>
 
 namespace scaddar {
 
+namespace {
+
+/// Process-wide source of placement keys. Shards of a cluster mutate their
+/// policies from pool threads, so the counter is atomic.
+uint64_t NextPlacementKey() {
+  static std::atomic<uint64_t> next{1};
+  return next.fetch_add(1);
+}
+
+}  // namespace
+
 PlacementPolicy::PlacementPolicy(int64_t n0)
-    : log_(std::move(OpLog::Create(n0).value())) {}
+    : log_(std::move(OpLog::Create(n0).value())),
+      placement_key_(NextPlacementKey()) {}
 
 PlacementPolicy::PlacementPolicy(OpLog initial_log)
-    : log_(std::move(initial_log)) {
+    : log_(std::move(initial_log)), placement_key_(NextPlacementKey()) {
   SCADDAR_CHECK(log_.num_ops() == 0);
 }
 
@@ -20,11 +33,13 @@ Status PlacementPolicy::AddObject(ObjectId id, std::vector<uint64_t> x0) {
   total_blocks_ += static_cast<int64_t>(x0.size());
   objects_.emplace_back(id, std::move(x0));
   added_epoch_.push_back(log_.num_ops());
+  placement_key_ = NextPlacementKey();
   return OnObjectAdded(id);
 }
 
 Status PlacementPolicy::ApplyOp(const ScalingOp& op) {
   SCADDAR_RETURN_IF_ERROR(log_.Append(op));
+  placement_key_ = NextPlacementKey();
   return OnOp(op);
 }
 
@@ -69,6 +84,7 @@ Status PlacementPolicy::RemoveObject(ObjectId id) {
     return NotFoundError("object not registered");
   }
   SCADDAR_RETURN_IF_ERROR(OnObjectRemoved(id));
+  placement_key_ = NextPlacementKey();
   const size_t index = it->second;
   total_blocks_ -= static_cast<int64_t>(objects_[index].second.size());
   objects_.erase(objects_.begin() + static_cast<ptrdiff_t>(index));

@@ -83,6 +83,14 @@ class PlacementPolicy {
 
   /// Scaling history (shared semantics across policies).
   const OpLog& log() const { return log_; }
+
+  /// Change token for `AF()`: a process-unique value drawn when the policy
+  /// is built and again by every `AddObject`, `RemoveObject` and `ApplyOp`.
+  /// Equal keys mean the same policy instance with the same placement.
+  /// `log().revision()` cannot say that much: a fresh policy (the full
+  /// redistribution fallback) restarts it at 0, so a swapped-in policy can
+  /// reach the revision its predecessor had.
+  uint64_t placement_key() const { return placement_key_; }
   int64_t current_disks() const { return log_.current_disks(); }
 
   /// Total registered blocks across all objects.
@@ -152,6 +160,7 @@ class PlacementPolicy {
   std::vector<Epoch> added_epoch_;  // Parallel to objects_.
   std::unordered_map<ObjectId, size_t> object_index_;
   int64_t total_blocks_ = 0;
+  uint64_t placement_key_ = 0;
 };
 
 }  // namespace scaddar

@@ -1,6 +1,11 @@
 #include "server/migration.h"
 
 #include <algorithm>
+#include <functional>
+#include <limits>
+#include <map>
+#include <tuple>
+#include <utility>
 
 #include "faults/injector.h"
 #include "storage/block_io.h"
@@ -9,20 +14,32 @@
 
 namespace scaddar {
 
-void MigrationExecutor::PushRef(BlockRef ref) {
-  queue_.push_back(ref);
+namespace {
+
+/// "No queue position": past every slot a round can reach.
+constexpr int32_t kNoSlot = std::numeric_limits<int32_t>::max();
+
+}  // namespace
+
+void MigrationExecutor::Push(BlockRef ref) {
+  SCADDAR_CHECK(entries_.size() < static_cast<size_t>(kNoSlot));
+  const auto slot = static_cast<int32_t>(entries_.size());
+  entries_.push_back(Entry{ref, kUnresolved, slot});
+  ++live_;
   ++pending_per_object_[ref.object];
+  dirty_ = true;
 }
 
-BlockRef MigrationExecutor::PopFront() {
-  const BlockRef ref = queue_.front();
-  queue_.pop_front();
-  const auto it = pending_per_object_.find(ref.object);
+void MigrationExecutor::Retire(int32_t slot) {
+  Entry& entry = entries_[static_cast<size_t>(slot)];
+  entry.bucket = kRetired;
+  --live_;
+  ++dead_;
+  const auto it = pending_per_object_.find(entry.ref.object);
   SCADDAR_CHECK(it != pending_per_object_.end());
   if (--it->second == 0) {
     pending_per_object_.erase(it);
   }
-  return ref;
 }
 
 int64_t MigrationExecutor::pending_for(ObjectId object) const {
@@ -31,18 +48,33 @@ int64_t MigrationExecutor::pending_for(ObjectId object) const {
 }
 
 std::vector<BlockRef> MigrationExecutor::QueueSnapshot() const {
-  return std::vector<BlockRef>(queue_.begin(), queue_.end());
+  std::vector<BlockRef> refs;
+  refs.reserve(static_cast<size_t>(live_));
+  for (const Entry& entry : entries_) {
+    if (entry.bucket != kRetired) {
+      refs.push_back(entry.ref);
+    }
+  }
+  return refs;
+}
+
+void MigrationExecutor::ClearQueue() {
+  entries_.clear();
+  buckets_.clear();
+  in_place_.clear();
+  live_ = 0;
+  dead_ = 0;
 }
 
 void MigrationExecutor::Reset() {
-  queue_.clear();
+  ClearQueue();
   pending_per_object_.clear();
   crashed_ = false;
 }
 
 void MigrationExecutor::EnqueuePlan(const MovePlan& plan) {
   for (const BlockMove& move : plan.moves()) {
-    PushRef(move.block);
+    Push(move.block);
   }
 }
 
@@ -117,7 +149,7 @@ void MigrationExecutor::EnqueueReconciliation(
     std::vector<BlockRef> divergent;
     ScanRange(entries, 0, total, store, policy, divergent);
     for (const BlockRef ref : divergent) {
-      PushRef(ref);
+      Push(ref);
     }
     return;
   }
@@ -151,87 +183,225 @@ void MigrationExecutor::EnqueueReconciliation(
   }
   for (const std::vector<BlockRef>& shard : shards) {
     for (const BlockRef ref : shard) {
-      PushRef(ref);
+      Push(ref);
     }
   }
 }
 
-int64_t MigrationExecutor::RunRound(
-    std::unordered_map<PhysicalDiskId, int64_t>& leftover, BlockStore& store,
-    DiskArray& disks, const PlacementPolicy& policy) {
+bool MigrationExecutor::Stale(const BlockStore& store,
+                              const PlacementPolicy& policy) const {
+  return dirty_ || placement_key_ != policy.placement_key() ||
+         store_revision_ != store.mutation_revision();
+}
+
+void MigrationExecutor::Resolve(const BlockStore& store,
+                                const PlacementPolicy& policy, bool compact) {
+  if (compact && dead_ > 0) {
+    std::erase_if(entries_,
+                  [](const Entry& entry) { return entry.bucket == kRetired; });
+    dead_ = 0;
+  }
+  // Group the live entries by block, copies in queue order. Retired entries
+  // keep a slot until the next compaction but leave every ring.
+  const auto num_slots = static_cast<int32_t>(entries_.size());
+  std::vector<int32_t> order;
+  order.reserve(static_cast<size_t>(live_));
+  for (int32_t slot = 0; slot < num_slots; ++slot) {
+    Entry& entry = entries_[static_cast<size_t>(slot)];
+    entry.next_copy = slot;
+    if (entry.bucket != kRetired) {
+      order.push_back(slot);
+    }
+  }
+  std::sort(order.begin(), order.end(), [this](int32_t a, int32_t b) {
+    const BlockRef& x = entries_[static_cast<size_t>(a)].ref;
+    const BlockRef& y = entries_[static_cast<size_t>(b)].ref;
+    return std::tie(x.object, x.block, a) < std::tie(y.object, y.block, b);
+  });
+
+  // One batch AF() pass per object over its distinct in-range blocks; the
+  // source is the live store row.
+  buckets_.clear();
+  std::map<std::pair<PhysicalDiskId, PhysicalDiskId>, int32_t> bucket_of;
+  policy.PrepareForBatch();
+  std::vector<BlockIndex> blocks;
+  std::vector<PhysicalDiskId> targets;
+  const auto ref_at = [this, &order](size_t k) -> const BlockRef& {
+    return entries_[static_cast<size_t>(order[k])].ref;
+  };
+  for (size_t i = 0; i < order.size();) {
+    const ObjectId object = ref_at(i).object;
+    size_t j = i;
+    while (j < order.size() && ref_at(j).object == object) {
+      ++j;
+    }
+    // Object deleted while its moves were queued: every entry retires.
+    const StatusOr<std::span<const PhysicalDiskId>> row =
+        store.LocationsOf(object);
+    const std::span<const PhysicalDiskId> locations =
+        row.ok() ? *row : std::span<const PhysicalDiskId>();
+    const auto in_row = [&locations](BlockIndex block) {
+      return block >= 0 && block < static_cast<BlockIndex>(locations.size());
+    };
+    blocks.clear();
+    for (size_t k = i; k < j; ++k) {
+      const BlockIndex block = ref_at(k).block;
+      if (in_row(block) && (blocks.empty() || blocks.back() != block)) {
+        blocks.push_back(block);
+      }
+    }
+    targets.resize(blocks.size());
+    if (!blocks.empty()) {
+      policy.LocateMany(object, std::span<const BlockIndex>(blocks),
+                        std::span<PhysicalDiskId>(targets));
+    }
+    size_t next_target = 0;
+    for (size_t k = i; k < j;) {
+      const BlockIndex block = ref_at(k).block;
+      size_t end = k + 1;
+      while (end < j && ref_at(end).block == block) {
+        ++end;
+      }
+      int32_t bucket = kInPlace;
+      if (in_row(block)) {
+        const PhysicalDiskId source = locations[static_cast<size_t>(block)];
+        const PhysicalDiskId target = targets[next_target++];
+        if (source != target) {
+          const auto [it, inserted] = bucket_of.try_emplace(
+              {source, target}, static_cast<int32_t>(buckets_.size()));
+          if (inserted) {
+            Bucket& fresh = buckets_.emplace_back();
+            fresh.source = source;
+            fresh.target = target;
+          }
+          bucket = it->second;
+        }
+      }
+      for (size_t c = k; c < end; ++c) {
+        Entry& entry = entries_[static_cast<size_t>(order[c])];
+        entry.bucket = bucket;
+        entry.next_copy = order[c + 1 < end ? c + 1 : k];
+      }
+      k = end;
+    }
+    i = j;
+  }
+
+  // Lay the buckets out in queue order.
+  in_place_.clear();
+  for (int32_t slot = 0; slot < num_slots; ++slot) {
+    const int32_t bucket = entries_[static_cast<size_t>(slot)].bucket;
+    if (bucket >= 0) {
+      buckets_[static_cast<size_t>(bucket)].slots.push_back(slot);
+    } else if (bucket == kInPlace) {
+      in_place_.push_back(slot);
+    }
+  }
+  dirty_ = false;
+  placement_key_ = policy.placement_key();
+  store_revision_ = store.mutation_revision();
+}
+
+int32_t MigrationExecutor::PeekBucket(int32_t b) {
+  Bucket& bucket = buckets_[static_cast<size_t>(b)];
+  while (bucket.next < bucket.slots.size()) {
+    const int32_t slot = bucket.slots[bucket.next];
+    if (entries_[static_cast<size_t>(slot)].bucket == b) {
+      return slot;
+    }
+    ++bucket.next;
+  }
+  return kNoSlot;
+}
+
+void MigrationExecutor::RetireCopies(int32_t slot, int32_t end) {
+  for (int32_t copy = entries_[static_cast<size_t>(slot)].next_copy;
+       copy != slot; copy = entries_[static_cast<size_t>(copy)].next_copy) {
+    Entry& entry = entries_[static_cast<size_t>(copy)];
+    if (entry.bucket < 0) {
+      continue;  // Retired, already in place, or not resolved yet.
+    }
+    if (copy > slot && copy < end) {
+      Retire(copy);
+    } else {
+      entry.bucket = kInPlace;
+      in_place_.push_back(copy);
+    }
+  }
+}
+
+void MigrationExecutor::RetireInPlace(int32_t after, int32_t end) {
+  size_t keep = 0;
+  for (const int32_t slot : in_place_) {
+    if (entries_[static_cast<size_t>(slot)].bucket != kInPlace) {
+      continue;
+    }
+    if (slot > after && slot < end) {
+      Retire(slot);
+    } else {
+      in_place_[keep++] = slot;
+    }
+  }
+  in_place_.resize(keep);
+}
+
+int64_t MigrationExecutor::RunRound(std::span<int64_t> budget,
+                                    BlockStore& store, DiskArray& disks,
+                                    const PlacementPolicy& policy) {
   if (crashed_) {
     return 0;  // The process is "dead" until SimulateCrashRestart.
   }
-  const size_t round_items = queue_.size();
-  if (round_items == 0) {
+  if (live_ == 0) {
     return 0;
   }
+  if (Stale(store, policy) || dead_ > live_) {
+    Resolve(store, policy, /*compact=*/true);
+  }
   FaultInjector* const injector = disks.fault_injector();
+  // Entries a fault hook queues mid-round wait for the next round.
+  const auto end = static_cast<int32_t>(entries_.size());
+  // Entries whose block already sits on its target, or whose object or
+  // block is gone, retire without bandwidth.
+  RetireInPlace(/*after=*/-1, end);
+  const auto has_budget = [budget](PhysicalDiskId disk) {
+    return disk >= 0 && disk < static_cast<PhysicalDiskId>(budget.size()) &&
+           budget[static_cast<size_t>(disk)] > 0;
+  };
+  const auto spend = [budget](PhysicalDiskId disk, int64_t units) {
+    budget[static_cast<size_t>(disk)] -= units;
+  };
 
-  // Dequeue this round's entries; bandwidth-starved ones requeue behind any
-  // entries enqueued mid-round, exactly like the scalar single pass.
-  std::vector<BlockRef> items;
-  items.reserve(round_items);
-  for (size_t i = 0; i < round_items; ++i) {
-    items.push_back(PopFront());
-  }
-
-  // Group by object once: store rows are stable spans for the whole round
-  // (moves mutate entries in place), so current locations are read from the
-  // live row at decision time and duplicate queue entries observe earlier
-  // moves of the same round just as the scalar pass does.
-  std::unordered_map<ObjectId, std::span<const PhysicalDiskId>> rows;
-  constexpr size_t kSkipped = static_cast<size_t>(-1);
-  std::vector<size_t> item_slot(items.size(), 0);
-  std::vector<std::span<const PhysicalDiskId>> item_row(items.size());
-  for (size_t i = 0; i < items.size(); ++i) {
-    const BlockRef ref = items[i];
-    const auto [it, inserted] = rows.try_emplace(ref.object);
-    if (inserted) {
-      const StatusOr<std::span<const PhysicalDiskId>> row =
-          store.LocationsOf(ref.object);
-      // Object deleted while its moves were queued: every entry skips.
-      it->second = row.ok() ? *row : std::span<const PhysicalDiskId>();
+  // The round's pass walks the queue in order through a min-heap of bucket
+  // heads, one per bucket whose two disks both have budget. Budgets only
+  // fall during a pass, so a bucket found dry drops out for the round and
+  // its entries keep their queue positions without being visited.
+  using Head = std::pair<int32_t, int32_t>;  // (slot, bucket)
+  std::vector<Head> heads;
+  const auto push_head = [&](int32_t b) {
+    const Bucket& bucket = buckets_[static_cast<size_t>(b)];
+    if (!has_budget(bucket.source) || !has_budget(bucket.target)) {
+      return;
     }
-    if (it->second.empty() || ref.block < 0 ||
-        ref.block >= static_cast<BlockIndex>(it->second.size())) {
-      item_slot[i] = kSkipped;  // Mirrors the scalar LocationOf error path.
-      continue;
-    }
-    item_row[i] = it->second;
-  }
-
-  // Batch-resolve targets for items [first, end): one step-major pass per
-  // object. Re-invoked mid-round by the epoch guard when a scaling op lands
-  // while the round is executing — the remaining items re-plan against the
-  // new epoch's AF() so no move chases a stale target.
-  std::vector<PhysicalDiskId> item_target(items.size(), 0);
-  const auto resolve_targets = [&](size_t first) {
-    policy.PrepareForBatch();
-    std::unordered_map<ObjectId,
-                       std::pair<std::vector<BlockIndex>, std::vector<size_t>>>
-        groups;
-    for (size_t i = first; i < items.size(); ++i) {
-      if (item_slot[i] == kSkipped) {
-        continue;
-      }
-      auto& [blocks, indices] = groups[items[i].object];
-      blocks.push_back(items[i].block);
-      indices.push_back(i);
-    }
-    std::vector<PhysicalDiskId> targets;
-    for (auto& [object, group] : groups) {
-      auto& [blocks, indices] = group;
-      targets.resize(blocks.size());
-      policy.LocateMany(object, std::span<const BlockIndex>(blocks),
-                        std::span<PhysicalDiskId>(targets));
-      for (size_t k = 0; k < indices.size(); ++k) {
-        item_target[indices[k]] = targets[k];
-      }
+    const int32_t slot = PeekBucket(b);
+    if (slot < end) {
+      heads.emplace_back(slot, b);
+      std::push_heap(heads.begin(), heads.end(), std::greater<>());
     }
   };
-  int64_t epoch_revision = policy.log().revision();
-  resolve_targets(0);
+  // (Re)starts the pass just after queue position `after`.
+  const auto seed = [&](int32_t after) {
+    heads.clear();
+    for (int32_t b = 0; b < static_cast<int32_t>(buckets_.size()); ++b) {
+      Bucket& bucket = buckets_[static_cast<size_t>(b)];
+      bucket.next = static_cast<size_t>(
+          std::upper_bound(bucket.slots.begin() +
+                               static_cast<ptrdiff_t>(bucket.head),
+                           bucket.slots.end(), after) -
+          bucket.slots.begin());
+      push_head(b);
+    }
+  };
+  seed(-1);
 
   // An injected crash abandons the round: only durably-written state (the
   // journal and the store) survives; queued work is rebuilt by the
@@ -243,59 +413,74 @@ int64_t MigrationExecutor::RunRound(
     }
     return false;
   };
+  const auto record_transient_error = [&](PhysicalDiskId from,
+                                          PhysicalDiskId to) {
+    disks.GetDisk(from).value()->RecordTransientError();
+    disks.GetDisk(to).value()->RecordTransientError();
+    ++transient_errors_;
+  };
 
   // Two-phase (engine) rounds stage every move first and commit after the
   // engine lands the round's copies in one batched submission per disk.
   struct StagedMove {
     int64_t entry = 0;
+    int32_t slot = 0;
     BlockRef ref;
     PhysicalDiskId from = 0;
     PhysicalDiskId to = 0;
     int64_t ordinal = -1;  // Injector move ordinal at stage time.
   };
   std::vector<StagedMove> staged_moves;
+  bool resolved_mid_round = false;
 
-  // Spend bandwidth in queue order with the precomputed targets.
   int64_t moved = 0;
-  for (size_t i = 0; i < items.size(); ++i) {
-    if (item_slot[i] == kSkipped) {
+  while (!heads.empty()) {
+    std::pop_heap(heads.begin(), heads.end(), std::greater<>());
+    const auto [slot, popped] = heads.back();
+    heads.pop_back();
+    int32_t b = popped;
+    if (entries_[static_cast<size_t>(slot)].bucket != b) {
+      push_head(b);  // Left the bucket after it was peeked.
       continue;
     }
-    const BlockRef ref = items[i];
-    const PhysicalDiskId current = item_row[i][static_cast<size_t>(ref.block)];
-    if (current == item_target[i]) {
-      continue;  // Already in place (duplicate or superseded entry).
+    if (!has_budget(buckets_[static_cast<size_t>(b)].source) ||
+        !has_budget(buckets_[static_cast<size_t>(b)].target)) {
+      continue;  // Dry: the rest of the bucket waits for a later round.
     }
+    ++buckets_[static_cast<size_t>(b)].next;
+    push_head(b);
+
+    const BlockRef ref = entries_[static_cast<size_t>(slot)].ref;
+    PhysicalDiskId current = buckets_[static_cast<size_t>(b)].source;
+    PhysicalDiskId target = buckets_[static_cast<size_t>(b)].target;
     if (injector != nullptr) {
       injector->BeginMove();  // May fire a hook that applies a scaling op.
-    }
-    // Epoch guard: if a scaling operation was applied since the round's
-    // targets were resolved (a hook racing the round, or any reentrant
-    // caller), re-plan the remaining items against the new epoch.
-    if (policy.log().revision() != epoch_revision) {
-      epoch_revision = policy.log().revision();
-      resolve_targets(i);
-      if (current == item_target[i]) {
-        continue;  // The new epoch wants this block where it already is.
+      // Epoch guard: if the hook changed the placement, the store or the
+      // queue, re-resolve every entry and restart the pass right after
+      // this one, so no move chases a stale target.
+      if (Stale(store, policy)) {
+        Resolve(store, policy, /*compact=*/false);
+        resolved_mid_round = true;
+        seed(slot);
+        RetireInPlace(slot, end);
+        b = entries_[static_cast<size_t>(slot)].bucket;
+        if (b == kInPlace) {
+          Retire(slot);  // The new epoch wants this block where it is.
+          continue;
+        }
+        current = buckets_[static_cast<size_t>(b)].source;
+        target = buckets_[static_cast<size_t>(b)].target;
+        if (!has_budget(current) || !has_budget(target)) {
+          continue;  // No bandwidth this round for the new target.
+        }
       }
     }
-    const PhysicalDiskId target = item_target[i];
-    auto src = leftover.find(current);
-    auto dst = leftover.find(target);
-    if (src == leftover.end() || dst == leftover.end() || src->second <= 0 ||
-        dst->second <= 0) {
-      PushRef(ref);  // No bandwidth this round; retry later.
-      continue;
-    }
-    --src->second;
-    --dst->second;
+    spend(current, 1);
+    spend(target, 1);
     if (injector != nullptr && injector->FailTransfer(current, target)) {
-      // Transient I/O error: the attempt burned its bandwidth; re-queue the
-      // block and retry in a later round (the executor's backoff).
-      disks.GetDisk(current).value()->RecordTransientError();
-      disks.GetDisk(target).value()->RecordTransientError();
-      ++transient_errors_;
-      PushRef(ref);
+      // Transient I/O error: the attempt burned its bandwidth; the entry
+      // stays queued and retries in a later round (the executor's backoff).
+      record_transient_error(current, target);
       continue;
     }
     if (journal_ == nullptr) {
@@ -308,22 +493,22 @@ int64_t MigrationExecutor::RunRound(
       });
       SCADDAR_CHECK(applied.ok());
     } else if (io_ != nullptr) {
-      // Locations flip only after this loop, so a duplicate entry for a
-      // block staged earlier this round still reads the old location. Give
-      // its bandwidth back; retry it next round if it now wants another
-      // target.
+      // Locations flip only after this pass, so a copy of a block staged
+      // earlier this round still reads the old location. Give its
+      // bandwidth back; it retires if the stage already goes where it
+      // wants, and otherwise waits for the next round.
       const StatusOr<PhysicalDiskId> staged_to = store.StagedTarget(ref);
       if (staged_to.ok()) {
-        ++src->second;
-        ++dst->second;
-        if (*staged_to != target) {
-          PushRef(ref);
+        spend(current, -1);
+        spend(target, -1);
+        if (*staged_to == target) {
+          Retire(slot);
         }
         continue;
       }
       // Two-phase stage pass: log the intent and allocate the staged slot;
       // the bytes move (and the copied/commit records follow) after the
-      // loop, once the engine has pushed the whole round's copies down.
+      // pass, once the engine has pushed the whole round's copies down.
       const int64_t entry = journal_->Begin(ref, current, target);
       if (crash_at(MovePhase::kIntentLogged)) {
         return moved;
@@ -333,18 +518,17 @@ int64_t MigrationExecutor::RunRound(
         // The backend refused the stage (disk open failure and friends):
         // transient, like a failed transfer — close the intent and retry.
         journal_->MarkAborted(entry);
-        disks.GetDisk(current).value()->RecordTransientError();
-        disks.GetDisk(target).value()->RecordTransientError();
-        ++transient_errors_;
-        PushRef(ref);
+        record_transient_error(current, target);
         continue;
       }
       SCADDAR_CHECK(staged.ok());
+      store_revision_ = store.mutation_revision();
       if (crash_at(MovePhase::kCopyStaged)) {
         return moved;
       }
+      Retire(slot);
       staged_moves.push_back(StagedMove{
-          entry, ref, current, target,
+          entry, slot, ref, current, target,
           injector != nullptr ? injector->current_move() : -1});
       continue;  // Transfers are recorded when the copy lands.
     } else {
@@ -372,17 +556,20 @@ int64_t MigrationExecutor::RunRound(
         return moved;
       }
     }
+    store_revision_ = store.mutation_revision();
     disks.GetDisk(current).value()->RecordMigrationTransfers(1);
     disks.GetDisk(target).value()->RecordMigrationTransfers(1);
     ++moved;
     ++total_moved_;
+    Retire(slot);
+    RetireCopies(slot, end);
   }
 
   // Two-phase commit pass: land the round's staged copies — batched source
   // reads, batched target writes (one submission per disk each), one flush
   // per touched disk — then walk the stage order. Copies the backend failed
-  // abort and re-queue; intact ones complete the write-ahead protocol,
-  // where "copied" now genuinely means durable bytes.
+  // abort and go to the back of the queue; intact ones complete the
+  // write-ahead protocol, where "copied" now genuinely means durable bytes.
   if (io_ != nullptr && !staged_moves.empty()) {
     std::vector<BlockRef> failed;
     SCADDAR_CHECK(io_->FinishMigrationRound(&failed).ok());
@@ -398,10 +585,8 @@ int64_t MigrationExecutor::RunRound(
       if (copy_failed(m.ref)) {
         SCADDAR_CHECK(store.AbortStagedCopy(m.ref).ok());
         journal_->MarkAborted(m.entry);
-        disks.GetDisk(m.from).value()->RecordTransientError();
-        disks.GetDisk(m.to).value()->RecordTransientError();
-        ++transient_errors_;
-        PushRef(m.ref);
+        record_transient_error(m.from, m.to);
+        Push(m.ref);
         continue;
       }
       journal_->MarkCopied(m.entry);
@@ -420,49 +605,37 @@ int64_t MigrationExecutor::RunRound(
       disks.GetDisk(m.to).value()->RecordMigrationTransfers(1);
       ++moved;
       ++total_moved_;
+      RetireCopies(m.slot, /*end=*/0);  // The pass is over: next round.
+    }
+    store_revision_ = store.mutation_revision();
+  }
+
+  // Drop what the pass consumed from each bucket; the entries it left in
+  // place (failed transfers, refused stages) keep their queue order ahead
+  // of the unvisited rest.
+  for (int32_t b = 0; b < static_cast<int32_t>(buckets_.size()); ++b) {
+    Bucket& bucket = buckets_[static_cast<size_t>(b)];
+    size_t keep = bucket.next;
+    for (size_t i = bucket.next; i-- > bucket.head;) {
+      if (entries_[static_cast<size_t>(bucket.slots[i])].bucket == b) {
+        bucket.slots[--keep] = bucket.slots[i];
+      }
+    }
+    bucket.head = keep;
+    if (2 * bucket.head > bucket.slots.size()) {
+      bucket.slots.erase(bucket.slots.begin(),
+                         bucket.slots.begin() +
+                             static_cast<ptrdiff_t>(bucket.head));
+      bucket.head = 0;
     }
   }
-  return moved;
-}
-
-int64_t MigrationExecutor::RunRoundScalar(
-    std::unordered_map<PhysicalDiskId, int64_t>& leftover, BlockStore& store,
-    DiskArray& disks, const PlacementPolicy& policy) {
-  int64_t moved = 0;
-  // One pass over the queue: move what bandwidth permits, requeue the rest
-  // in order.
-  size_t remaining = queue_.size();
-  while (remaining-- > 0) {
-    const BlockRef ref = PopFront();
-    const StatusOr<PhysicalDiskId> current = store.LocationOf(ref);
-    if (!current.ok()) {
-      continue;  // Object deleted while its move was queued.
-    }
-    const PhysicalDiskId target = policy.Locate(ref.object, ref.block);
-    if (*current == target) {
-      continue;  // Already in place (duplicate or superseded entry).
-    }
-    auto src = leftover.find(*current);
-    auto dst = leftover.find(target);
-    if (src == leftover.end() || dst == leftover.end() || src->second <= 0 ||
-        dst->second <= 0) {
-      PushRef(ref);  // No bandwidth this round; retry later.
-      continue;
-    }
-    --src->second;
-    --dst->second;
-    const Status applied = store.ApplyMove(BlockMove{
-        .block = ref,
-        .from_slot = 0,
-        .to_slot = 0,
-        .from_physical = *current,
-        .to_physical = target,
-    });
-    SCADDAR_CHECK(applied.ok());
-    disks.GetDisk(*current).value()->RecordMigrationTransfers(1);
-    disks.GetDisk(target).value()->RecordMigrationTransfers(1);
-    ++moved;
-    ++total_moved_;
+  if (resolved_mid_round) {
+    // Staged moves retired before the re-resolve lost their copy rings;
+    // resolve afresh before the next pass trusts any bucket.
+    dirty_ = true;
+  }
+  if (live_ == 0) {
+    ClearQueue();
   }
   return moved;
 }

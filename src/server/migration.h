@@ -2,7 +2,7 @@
 #define SCADDAR_SERVER_MIGRATION_H_
 
 #include <cstdint>
-#include <deque>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -21,24 +21,35 @@ class MoveJournal;
 /// Executes block redistribution *online*, using only bandwidth left over
 /// after stream service (Section 1: scaling must not interrupt the CM
 /// server). The queue holds block references, not (source, destination)
-/// pairs: at execution time each block is moved from wherever it currently
-/// is to the placement layer's *latest* target, so overlapping scaling
-/// operations and full redistributions compose correctly — stale queue
-/// entries become no-ops instead of moving blocks to outdated locations.
+/// pairs: each block moves from wherever it currently is to the placement
+/// layer's *latest* target, so overlapping scaling operations and full
+/// redistributions compose correctly — stale queue entries become no-ops
+/// instead of moving blocks to outdated locations.
 ///
-/// Both ends of the executor run through the batch engine: reconciliation
-/// scans resolve targets with one step-major pass per object and can shard
-/// the scan across a thread pool (byte-identical queue for any thread
-/// count, like the PR-1 planners), and `RunRound` resolves each round's
-/// targets with one batch pass per queued object instead of a chain replay
-/// per block. `RunRoundScalar` keeps the original per-block implementation
-/// as the equivalence oracle.
+/// The queue is an indexed pending set. Every entry keeps its queue
+/// position and is resolved once to a (source, target) pair: the store row
+/// and a batch `AF()` pass per object. Entries are bucketed by that pair,
+/// so a round merges, in queue order, only the buckets whose two disks
+/// both still have budget; entries that retire for free (block already on
+/// its target, object or block gone) leave when the round starts. A round
+/// therefore costs what it moves, not what is queued (RO1 caps the moves
+/// at `z_j`; the backlog can be far larger). Resolution is redone only
+/// when entries are pushed, when the placement changes
+/// (`PlacementPolicy::placement_key`), when store rows change through
+/// anything but the executor's own moves (`BlockStore::mutation_revision`:
+/// `PlaceObject`/`DropObject`, journal recovery, checkpoint restore), or
+/// when retired entries outnumber queued ones and the slots compact. A
+/// block queued more than once (overlapping reconciliations) keeps its
+/// copies linked, so moving one copy retires the others exactly when the
+/// per-entry pass the index replaced would have
+/// (`tests/migration_oracle.h`).
 ///
 /// With a `MoveJournal` attached, every transfer runs the crash-consistent
 /// write-ahead protocol (intent -> stage -> copied -> flip -> commit), and
 /// the fault injector hanging off the `DiskArray` can kill the executor at
 /// any phase boundary or fail individual transfers. Without a journal the
-/// behavior is byte-identical to the pre-journal executor.
+/// moves apply directly. One `RunRound` serves all of these: one-phase,
+/// journaled, two-phase (I/O engine) and fault-injected rounds.
 class MigrationExecutor {
  public:
   MigrationExecutor() = default;
@@ -55,8 +66,9 @@ class MigrationExecutor {
   /// whole round's copies in one batched submission per disk
   /// (`BlockIoEngine::FinishMigrationRound`), and only copies that landed
   /// intact are marked copied and committed. Copies the backend failed
-  /// (injected EIO, short write) are aborted and re-queued as transient
-  /// errors — the real-I/O analogue of `FaultInjector::FailTransfer`.
+  /// (injected EIO, short write) are aborted and re-queued at the tail as
+  /// transient errors — the real-I/O analogue of
+  /// `FaultInjector::FailTransfer`.
   void AttachIoEngine(BlockIoEngine* io) { io_ = io; }
   BlockIoEngine* io_engine() const { return io_; }
 
@@ -83,37 +95,30 @@ class MigrationExecutor {
                              const PlacementPolicy& policy,
                              const ParallelPlanOptions& options = {});
 
-  /// Spends leftover bandwidth: each transfer consumes one unit on the
-  /// source and one on the destination disk (per-destination in-flight
-  /// moves are bounded by that disk's remaining budget, so bandwidth
-  /// accounting stays exact). Returns blocks moved this round. Blocks
-  /// already at their current target retire from the queue for free.
-  /// Targets for the whole round resolve in one batch pass per queued
-  /// object; decisions are made in queue order against the live store row,
-  /// so the moves are identical to `RunRoundScalar`'s.
-  int64_t RunRound(std::unordered_map<PhysicalDiskId, int64_t>& leftover,
-                   BlockStore& store, DiskArray& disks,
-                   const PlacementPolicy& policy);
+  /// Spends leftover bandwidth. `budget` is indexed by physical id, as
+  /// `DiskArray::BandwidthBudgets` builds it; a disk without a positive
+  /// entry has none. Each transfer consumes one unit on the source and one
+  /// on the destination disk, so per-destination in-flight moves are
+  /// bounded by that disk's remaining budget. Decisions run in queue order;
+  /// an entry whose disks have no budget left keeps its queue position.
+  /// Blocks already at their current target retire for free. Returns
+  /// blocks moved this round; entries queued during the round (by a fault
+  /// hook) wait for the next one.
+  int64_t RunRound(std::span<int64_t> budget, BlockStore& store,
+                   DiskArray& disks, const PlacementPolicy& policy);
 
-  /// The original per-block implementation (one store hash lookup plus one
-  /// virtual `Locate` chain replay per queued block per round), retained as
-  /// the equivalence oracle for `RunRound` and the bench baseline.
-  int64_t RunRoundScalar(
-      std::unordered_map<PhysicalDiskId, int64_t>& leftover,
-      BlockStore& store, DiskArray& disks, const PlacementPolicy& policy);
-
-  int64_t pending() const { return static_cast<int64_t>(queue_.size()); }
+  int64_t pending() const { return live_; }
 
   /// Queued entries referencing `object` — O(1). The serving-path cursors
   /// use this to pick their refill source: zero pending moves for an object
-  /// means its store row agrees with AF().
+  /// means its store row agrees with AF(), so the count must be exact.
   int64_t pending_for(ObjectId object) const;
 
-  bool idle() const { return queue_.empty(); }
+  bool idle() const { return live_ == 0; }
   int64_t total_moved() const { return total_moved_; }
 
   /// Transfers refused by injected transient errors (each burned its round
-  /// bandwidth and was re-queued — retry in a later round is the backoff).
+  /// bandwidth and stayed queued — retry in a later round is the backoff).
   int64_t transient_errors() const { return transient_errors_; }
 
   /// The queue contents in order (test introspection for the sharding and
@@ -121,11 +126,56 @@ class MigrationExecutor {
   std::vector<BlockRef> QueueSnapshot() const;
 
  private:
-  void PushRef(BlockRef ref);
-  BlockRef PopFront();
+  // `Entry::bucket` values other than a bucket index.
+  static constexpr int32_t kRetired = -1;     // Left the queue.
+  static constexpr int32_t kInPlace = -2;     // Retires for free.
+  static constexpr int32_t kUnresolved = -3;  // Pushed since the last resolve.
 
-  std::deque<BlockRef> queue_;
+  /// One queue entry. Slots in `entries_` are queue positions.
+  struct Entry {
+    BlockRef ref;
+    int32_t bucket = kUnresolved;
+    int32_t next_copy = 0;  // Ring over the entries of the same block.
+  };
+
+  /// The entries resolved to one (source, target) pair, in queue order.
+  /// `slots` may still list entries that left the bucket since; they are
+  /// dropped when a round passes them.
+  struct Bucket {
+    PhysicalDiskId source = 0;
+    PhysicalDiskId target = 0;
+    std::vector<int32_t> slots;
+    size_t head = 0;  // slots[0, head) are spent.
+    size_t next = 0;  // Round cursor into slots.
+  };
+
+  void Push(BlockRef ref);
+  void Retire(int32_t slot);
+  bool Stale(const BlockStore& store, const PlacementPolicy& policy) const;
+  void Resolve(const BlockStore& store, const PlacementPolicy& policy,
+               bool compact);
+  /// Queue position of bucket `b`'s next entry at or after its cursor
+  /// (INT32_MAX when none), skipping entries that left the bucket.
+  int32_t PeekBucket(int32_t b);
+  /// Retires the other entries of a block that just moved: now for the
+  /// copies in (`slot`, `end`), which the round's pass would reach and
+  /// find in place, and at the next round's start for the rest (the pass
+  /// already went by them, or they arrived mid-round).
+  void RetireCopies(int32_t slot, int32_t end);
+  /// Retires the kInPlace entries in (`after`, `end`); keeps the others
+  /// for the next round.
+  void RetireInPlace(int32_t after, int32_t end);
+  void ClearQueue();
+
+  std::vector<Entry> entries_;
+  std::vector<Bucket> buckets_;
+  std::vector<int32_t> in_place_;  // kInPlace slots.
   std::unordered_map<ObjectId, int64_t> pending_per_object_;
+  int64_t live_ = 0;
+  int64_t dead_ = 0;  // kRetired entries still holding a slot.
+  bool dirty_ = false;
+  uint64_t placement_key_ = 0;
+  int64_t store_revision_ = -1;
   MoveJournal* journal_ = nullptr;  // Not owned; may be null.
   BlockIoEngine* io_ = nullptr;     // Not owned; may be null.
   bool crashed_ = false;

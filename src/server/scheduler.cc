@@ -1,6 +1,6 @@
 #include "server/scheduler.h"
 
-#include <algorithm>
+#include <utility>
 
 #include "storage/block_io.h"
 
@@ -8,21 +8,25 @@ namespace scaddar {
 
 namespace {
 
-/// Sentinel marking a physical id with no live disk in the dense budget
-/// array (budgets are never negative for live disks).
-constexpr int64_t kNotLive = -1;
+/// The budget slot of the disk a request routes to. A block can transiently
+/// sit on a retiring disk; such disks stay in the live set until drained,
+/// so a request routed to an id without a live disk means the store (or
+/// AF()) and the array disagree — a real bug.
+int64_t& ServingBudget(std::vector<int64_t>& budget, PhysicalDiskId location) {
+  SCADDAR_CHECK(location >= 0 &&
+                location < static_cast<PhysicalDiskId>(budget.size()) &&
+                budget[static_cast<size_t>(location)] != kNotLive);
+  return budget[static_cast<size_t>(location)];
+}
 
 }  // namespace
 
-RoundServiceResult RoundScheduler::Run(
-    std::vector<Stream>& streams, const BlockStore& store, DiskArray& disks,
-    std::unordered_map<PhysicalDiskId, int64_t>* leftover) const {
+RoundServiceResult RoundScheduler::Run(std::vector<Stream>& streams,
+                                       const BlockStore& store,
+                                       DiskArray& disks,
+                                       std::vector<int64_t>* leftover) const {
   RoundServiceResult result;
-  // Initialize per-disk budgets from live bandwidth.
-  std::unordered_map<PhysicalDiskId, int64_t> budget;
-  for (const PhysicalDiskId id : disks.live_ids()) {
-    budget[id] = disks.GetDisk(id).value()->spec().bandwidth_blocks_per_round;
-  }
+  std::vector<int64_t> budget = disks.BandwidthBudgets();
   // Streams are served in id order (FIFO fairness); a disk whose budget is
   // exhausted hiccups the remaining requests routed to it.
   for (Stream& stream : streams) {
@@ -37,13 +41,9 @@ RoundServiceResult RoundScheduler::Run(
       const StatusOr<PhysicalDiskId> location =
           store.LocationOf(stream.NextBlockRef());
       SCADDAR_CHECK(location.ok());
-      const auto it = budget.find(*location);
-      // A block can transiently sit on a retiring disk; such disks are
-      // still in the live set until drained, so a missing budget entry
-      // means the store and the array disagree — a real bug.
-      SCADDAR_CHECK(it != budget.end());
-      if (it->second > 0) {
-        --it->second;
+      int64_t& remaining = ServingBudget(budget, *location);
+      if (remaining > 0) {
+        --remaining;
         if (io_ != nullptr) {
           SCADDAR_CHECK(
               io_->EnqueueServeRead(stream.NextBlockRef(), *location).ok());
@@ -67,23 +67,12 @@ RoundServiceResult RoundScheduler::Run(
 RoundServiceResult RoundScheduler::RunBatched(
     std::vector<Stream>& streams, const PlacementPolicy& policy,
     const MigrationExecutor& migration, const BlockStore& store,
-    DiskArray& disks,
-    std::unordered_map<PhysicalDiskId, int64_t>* leftover) const {
+    DiskArray& disks, std::vector<int64_t>* leftover) const {
   RoundServiceResult result;
-  // Physical ids are small dense integers (monotonic, never reused), so the
-  // per-round budget and served counters live in flat arrays: one indexed
-  // load per request instead of a hash lookup.
-  const std::vector<PhysicalDiskId> live = disks.live_ids();
-  PhysicalDiskId max_id = 0;
-  for (const PhysicalDiskId id : live) {
-    max_id = std::max(max_id, id);
-  }
-  std::vector<int64_t> budget(static_cast<size_t>(max_id + 1), kNotLive);
-  std::vector<int64_t> served_on(static_cast<size_t>(max_id + 1), 0);
-  for (const PhysicalDiskId id : live) {
-    budget[static_cast<size_t>(id)] =
-        disks.GetDisk(id).value()->spec().bandwidth_blocks_per_round;
-  }
+  // Served-request counters live in a flat array beside the budgets and
+  // flush once per disk at the end of the round.
+  std::vector<int64_t> budget = disks.BandwidthBudgets();
+  std::vector<int64_t> served_on(budget.size(), 0);
   for (Stream& stream : streams) {
     if (stream.finished() || stream.paused()) {
       continue;
@@ -93,11 +82,7 @@ RoundServiceResult RoundScheduler::RunBatched(
       ++result.requests;
       const PhysicalDiskId location =
           cursor.Get(stream.next_block(), policy, store, migration);
-      // Same invariant as the scalar path: the serving disk must be in the
-      // live set (possibly retiring, but not yet drained).
-      SCADDAR_CHECK(location >= 0 && location <= max_id &&
-                    budget[static_cast<size_t>(location)] != kNotLive);
-      int64_t& remaining = budget[static_cast<size_t>(location)];
+      int64_t& remaining = ServingBudget(budget, location);
       if (remaining > 0) {
         --remaining;
         if (io_ != nullptr) {
@@ -114,30 +99,24 @@ RoundServiceResult RoundScheduler::RunBatched(
       }
     }
   }
-  for (const PhysicalDiskId id : live) {
-    const int64_t served = served_on[static_cast<size_t>(id)];
-    if (served > 0) {
-      disks.GetDisk(id).value()->RecordServedRequests(served);
+  for (size_t id = 0; id < served_on.size(); ++id) {
+    if (served_on[id] > 0) {
+      disks.GetDisk(static_cast<PhysicalDiskId>(id))
+          .value()
+          ->RecordServedRequests(served_on[id]);
     }
   }
   if (leftover != nullptr) {
-    leftover->clear();
-    for (const PhysicalDiskId id : live) {
-      (*leftover)[id] = budget[static_cast<size_t>(id)];
-    }
+    *leftover = std::move(budget);
   }
   return result;
 }
 
 RoundServiceResult RoundScheduler::RunScalarLocate(
     std::vector<Stream>& streams, const PlacementPolicy& policy,
-    DiskArray& disks,
-    std::unordered_map<PhysicalDiskId, int64_t>* leftover) const {
+    DiskArray& disks, std::vector<int64_t>* leftover) const {
   RoundServiceResult result;
-  std::unordered_map<PhysicalDiskId, int64_t> budget;
-  for (const PhysicalDiskId id : disks.live_ids()) {
-    budget[id] = disks.GetDisk(id).value()->spec().bandwidth_blocks_per_round;
-  }
+  std::vector<int64_t> budget = disks.BandwidthBudgets();
   for (Stream& stream : streams) {
     if (stream.finished() || stream.paused()) {
       continue;
@@ -146,10 +125,9 @@ RoundServiceResult RoundScheduler::RunScalarLocate(
       ++result.requests;
       const PhysicalDiskId location =
           policy.Locate(stream.object(), stream.next_block());
-      const auto it = budget.find(location);
-      SCADDAR_CHECK(it != budget.end());
-      if (it->second > 0) {
-        --it->second;
+      int64_t& remaining = ServingBudget(budget, location);
+      if (remaining > 0) {
+        --remaining;
         if (io_ != nullptr) {
           SCADDAR_CHECK(
               io_->EnqueueServeRead(stream.NextBlockRef(), location).ok());

@@ -2,7 +2,6 @@
 #define SCADDAR_SERVER_SCHEDULER_H_
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "placement/policy.h"
@@ -29,14 +28,15 @@ struct RoundServiceResult {
 /// requests hiccup and the stream retries next round.
 ///
 /// `leftover` (if non-null) receives each live disk's unused bandwidth,
-/// which the migration executor spends afterwards — this is how online
-/// reorganization shares the array with normal service.
+/// indexed by physical id like `DiskArray::BandwidthBudgets` (`kNotLive`
+/// for ids with no live disk). The migration executor spends it afterwards
+/// — this is how online reorganization shares the array with normal
+/// service.
 ///
 /// Three paths compute the same rounds:
 ///  - `RunBatched` — the production path: streams consume locations from
 ///    their `LocationCursor` sliding windows (batch-prefetched, revision-
-///    invalidated), per-disk budgets live in a dense array indexed by
-///    physical id, and served-request counters flush once per disk per
+///    invalidated), and served-request counters flush once per disk per
 ///    round.
 ///  - `Run` — per-block store hash lookups; the original implementation,
 ///    kept as the materialized-truth oracle for the equivalence tests.
@@ -53,20 +53,20 @@ class RoundScheduler {
   /// scheduler returns, so submission overlaps the migration phase.
   void set_io_engine(BlockIoEngine* io) { io_ = io; }
 
-  RoundServiceResult Run(
-      std::vector<Stream>& streams, const BlockStore& store, DiskArray& disks,
-      std::unordered_map<PhysicalDiskId, int64_t>* leftover) const;
+  RoundServiceResult Run(std::vector<Stream>& streams,
+                         const BlockStore& store, DiskArray& disks,
+                         std::vector<int64_t>* leftover) const;
 
-  RoundServiceResult RunBatched(
-      std::vector<Stream>& streams, const PlacementPolicy& policy,
-      const MigrationExecutor& migration, const BlockStore& store,
-      DiskArray& disks,
-      std::unordered_map<PhysicalDiskId, int64_t>* leftover) const;
+  RoundServiceResult RunBatched(std::vector<Stream>& streams,
+                                const PlacementPolicy& policy,
+                                const MigrationExecutor& migration,
+                                const BlockStore& store, DiskArray& disks,
+                                std::vector<int64_t>* leftover) const;
 
-  RoundServiceResult RunScalarLocate(
-      std::vector<Stream>& streams, const PlacementPolicy& policy,
-      DiskArray& disks,
-      std::unordered_map<PhysicalDiskId, int64_t>* leftover) const;
+  RoundServiceResult RunScalarLocate(std::vector<Stream>& streams,
+                                     const PlacementPolicy& policy,
+                                     DiskArray& disks,
+                                     std::vector<int64_t>* leftover) const;
 
  private:
   BlockIoEngine* io_ = nullptr;  // Not owned; may be null.

@@ -298,7 +298,7 @@ RoundMetrics CmServer::Tick() {
     injector->BeginRound(round_);
   }
 
-  std::unordered_map<PhysicalDiskId, int64_t> leftover;
+  std::vector<int64_t> leftover;
   RoundServiceResult service;
   switch (config_.serving_path) {
     case ServingPath::kBatchCursor:
@@ -322,8 +322,10 @@ RoundMetrics CmServer::Tick() {
   }
 
   if (config_.migration_extra_budget > 0) {
-    for (auto& [id, budget] : leftover) {
-      budget += config_.migration_extra_budget;
+    for (int64_t& budget : leftover) {
+      if (budget != kNotLive) {
+        budget += config_.migration_extra_budget;
+      }
     }
   }
   metrics.migrated = migration_.RunRound(leftover, store_, disks_, *policy_);

@@ -81,6 +81,23 @@ int64_t DiskArray::TotalBandwidth() const {
   return total;
 }
 
+std::vector<int64_t> DiskArray::BandwidthBudgets() const {
+  PhysicalDiskId max_id = -1;
+  for (const auto& [id, is_live] : live_) {
+    if (is_live) {
+      max_id = std::max(max_id, id);
+    }
+  }
+  std::vector<int64_t> budgets(static_cast<size_t>(max_id + 1), kNotLive);
+  for (const auto& [id, is_live] : live_) {
+    if (is_live) {
+      budgets[static_cast<size_t>(id)] =
+          disks_.at(id).spec().bandwidth_blocks_per_round;
+    }
+  }
+  return budgets;
+}
+
 int64_t DiskArray::TotalFreeCapacity() const {
   int64_t total = 0;
   for (const auto& [id, is_live] : live_) {

@@ -12,6 +12,11 @@ namespace scaddar {
 
 class FaultInjector;
 
+/// The value a dense per-physical-id budget vector holds for an id with no
+/// live disk (see `DiskArray::BandwidthBudgets`). Live budgets are never
+/// negative, so a `budget > 0` test rejects both.
+inline constexpr int64_t kNotLive = -1;
+
 /// The physical disk farm. Disks are keyed by their stable `PhysicalDiskId`;
 /// the placement layer's op log decides *which* ids are live, and the array
 /// tracks the hardware-side state (specs, occupancy, service counters).
@@ -40,6 +45,13 @@ class DiskArray {
 
   /// Aggregate bandwidth of live disks (blocks per round).
   int64_t TotalBandwidth() const;
+
+  /// One round's budgets, indexed by physical id: each live disk's
+  /// per-round bandwidth, `kNotLive` for every other id up to the largest
+  /// live one. Physical ids are small and never reused, so the scheduler
+  /// and the migration executor spend budget with one indexed load instead
+  /// of a hash lookup.
+  std::vector<int64_t> BandwidthBudgets() const;
 
   /// Aggregate free capacity of live disks (blocks).
   int64_t TotalFreeCapacity() const;

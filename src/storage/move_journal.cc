@@ -52,39 +52,33 @@ int64_t MoveJournal::Begin(BlockRef block, PhysicalDiskId from,
   return entry.id;
 }
 
+JournalEntry& MoveJournal::EntryFor(int64_t id) {
+  // Ids are consecutive: `Begin` appends `next_id_++`, `Compact` drops only
+  // a prefix and `Deserialize` refuses gaps, so an id's slot is its offset
+  // from the front entry.
+  SCADDAR_CHECK(!entries_.empty() && id >= entries_.front().id &&
+                id <= entries_.back().id && "unknown journal id");
+  return entries_[static_cast<size_t>(id - entries_.front().id)];
+}
+
 void MoveJournal::MarkCopied(int64_t id) {
-  for (JournalEntry& entry : entries_) {
-    if (entry.id == id) {
-      SCADDAR_CHECK(entry.phase == JournalPhase::kIntent);
-      entry.phase = JournalPhase::kCopied;
-      return;
-    }
-  }
-  SCADDAR_CHECK(false && "MarkCopied: unknown journal id");
+  JournalEntry& entry = EntryFor(id);
+  SCADDAR_CHECK(entry.phase == JournalPhase::kIntent);
+  entry.phase = JournalPhase::kCopied;
 }
 
 void MoveJournal::MarkCommitted(int64_t id) {
-  for (JournalEntry& entry : entries_) {
-    if (entry.id == id) {
-      SCADDAR_CHECK(entry.phase == JournalPhase::kCopied);
-      entry.phase = JournalPhase::kCommitted;
-      --pending_;
-      return;
-    }
-  }
-  SCADDAR_CHECK(false && "MarkCommitted: unknown journal id");
+  JournalEntry& entry = EntryFor(id);
+  SCADDAR_CHECK(entry.phase == JournalPhase::kCopied);
+  entry.phase = JournalPhase::kCommitted;
+  --pending_;
 }
 
 void MoveJournal::MarkAborted(int64_t id) {
-  for (JournalEntry& entry : entries_) {
-    if (entry.id == id) {
-      SCADDAR_CHECK(entry.phase == JournalPhase::kIntent);
-      entry.phase = JournalPhase::kAborted;
-      --pending_;
-      return;
-    }
-  }
-  SCADDAR_CHECK(false && "MarkAborted: unknown journal id");
+  JournalEntry& entry = EntryFor(id);
+  SCADDAR_CHECK(entry.phase == JournalPhase::kIntent);
+  entry.phase = JournalPhase::kAborted;
+  --pending_;
 }
 
 void MoveJournal::Compact() {
@@ -153,6 +147,10 @@ StatusOr<MoveJournal> MoveJournal::Deserialize(std::string_view text) {
         return InvalidArgumentError("move journal phase out of range");
       }
       entry.phase = static_cast<JournalPhase>(phase);
+      if (!journal.entries_.empty() &&
+          entry.id != journal.entries_.back().id + 1) {
+        return InvalidArgumentError("move journal ids are not consecutive");
+      }
       journal.entries_.push_back(entry);
       if (entry.phase != JournalPhase::kCommitted &&
           entry.phase != JournalPhase::kAborted) {
@@ -164,6 +162,10 @@ StatusOr<MoveJournal> MoveJournal::Deserialize(std::string_view text) {
   }
   if (!header_seen) {
     return InvalidArgumentError("empty move journal");
+  }
+  if (!journal.entries_.empty() &&
+      journal.next_id_ <= journal.entries_.back().id) {
+    return InvalidArgumentError("move journal next id precedes its entries");
   }
   return journal;
 }

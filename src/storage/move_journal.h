@@ -63,6 +63,7 @@ class MoveJournal {
   MoveJournal() = default;
 
   /// Appends an intent record; returns its id for the later phase marks.
+  /// Ids are consecutive, so each mark below finds its entry in O(1).
   int64_t Begin(BlockRef block, PhysicalDiskId from, PhysicalDiskId to);
 
   /// Marks the entry's staged copy durable (id must exist and be kIntent).
@@ -84,7 +85,9 @@ class MoveJournal {
   void Compact();
 
   /// Text form ("moves-v1" header + one line per entry); round-trips via
-  /// `Deserialize`.
+  /// `Deserialize`, which refuses entry ids that are not strictly
+  /// consecutive or a `next` id that does not follow them
+  /// (InvalidArgument): the phase marks index entries by id.
   std::string Serialize() const;
   static StatusOr<MoveJournal> Deserialize(std::string_view text);
 
@@ -97,6 +100,8 @@ class MoveJournal {
   StatusOr<JournalRecoveryStats> Recover(BlockStore& store);
 
  private:
+  JournalEntry& EntryFor(int64_t id);
+
   std::deque<JournalEntry> entries_;
   int64_t next_id_ = 0;
   int64_t pending_ = 0;

@@ -9,6 +9,9 @@
 #include <vector>
 
 #include "faults/injector.h"
+#include "placement/scaddar_policy.h"
+#include "random/sequence.h"
+#include "server/migration.h"
 #include "server/scenario.h"
 #include "server/server.h"
 #include "storage/move_journal.h"
@@ -228,6 +231,32 @@ TEST(MoveJournalTest, SerializationRoundTrips) {
   EXPECT_FALSE(MoveJournal::Deserialize("moves-v1\nmove 0 1 0 0 2 7\n").ok());
 }
 
+TEST(MoveJournalTest, DeserializeRejectsNonConsecutiveIds) {
+  const auto code = [](std::string_view text) {
+    return MoveJournal::Deserialize(text).status().code();
+  };
+  // A gap, a repeat and a step back: the phase marks index entries by id.
+  EXPECT_EQ(code("moves-v1\nnext 3\nmove 0 1 0 0 2 0\nmove 2 1 1 1 3 0\n"),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(code("moves-v1\nnext 1\nmove 0 1 0 0 2 0\nmove 0 1 1 1 3 0\n"),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(code("moves-v1\nnext 5\nmove 4 1 0 0 2 0\nmove 3 1 1 1 3 0\n"),
+            StatusCode::kInvalidArgument);
+  // A `next` id that does not follow the entries would reissue an id.
+  EXPECT_EQ(code("moves-v1\nnext 1\nmove 0 1 0 0 2 0\nmove 1 1 1 1 3 0\n"),
+            StatusCode::kInvalidArgument);
+
+  // A compacted journal starts past id 0 and still resolves its ids.
+  StatusOr<MoveJournal> compacted = MoveJournal::Deserialize(
+      "moves-v1\nnext 7\nmove 5 1 0 0 2 1\nmove 6 1 1 1 3 0\n");
+  ASSERT_TRUE(compacted.ok()) << compacted.status().ToString();
+  compacted->MarkCommitted(5);
+  compacted->MarkCopied(6);
+  EXPECT_EQ(compacted->entries()[0].phase, JournalPhase::kCommitted);
+  EXPECT_EQ(compacted->entries()[1].phase, JournalPhase::kCopied);
+  EXPECT_EQ(compacted->Begin(BlockRef{1, 2}, 0, 1), 7);
+}
+
 // A tiny store with one 4-block object spread over disks 0..3.
 BlockStore MakeStore() {
   BlockStore store;
@@ -421,6 +450,83 @@ TEST_P(CrashMatrixTest, EveryCrashPointRecoversToIdenticalPlacement) {
 INSTANTIATE_TEST_SUITE_P(ServingPaths, CrashMatrixTest,
                          ::testing::Values(ServingPath::kBatchCursor,
                                            ServingPath::kStoreScalar));
+
+// ---------------------------------------------------------------------------
+// Move ordinals count the moves the executor attempts: entries the round's
+// bandwidth gate turns away do not advance the ordinal a crash keys on.
+
+TEST(CrashOrdinalTest, StarvedEntriesDoNotAdvanceTheMoveOrdinal) {
+  // `from_disk0` blocks leaving disk 0 are queued ahead of one leaving disk
+  // 1; disk 0 gets `disk0_budget` units, so all but that many starve. The
+  // crash is armed at the intent boundary of move `crash_move`, which must
+  // be the disk-1 block.
+  const auto run_case = [](int from_disk0, int64_t disk0_budget,
+                           int64_t crash_move) {
+    ScaddarPolicy policy(4);
+    DiskArray disks(DiskSpec{.capacity_blocks = 1'000'000,
+                             .bandwidth_blocks_per_round = 8});
+    BlockStore store(&disks);
+    const std::vector<uint64_t> x0 =
+        X0Sequence::Create(PrngKind::kSplitMix64, 0x0d1, 64)
+            .value()
+            .Materialize(400);
+    ASSERT_TRUE(policy.AddObject(1, x0).ok());
+    ASSERT_TRUE(disks.SyncLiveSet(policy.log().physical_disks()).ok());
+    std::vector<PhysicalDiskId> locations;
+    policy.LocateAllBlocks(1, locations);
+    ASSERT_TRUE(store.PlaceObject(1, locations).ok());
+    ASSERT_TRUE(policy.ApplyOp(ScalingOp::Add(1).value()).ok());
+    ASSERT_TRUE(disks.SyncLiveSet(policy.log().physical_disks()).ok());
+
+    MovePlan plan;
+    BlockRef movable{1, -1};
+    int queued_from_disk0 = 0;
+    for (BlockIndex i = 0; i < 400; ++i) {
+      const PhysicalDiskId from = locations[static_cast<size_t>(i)];
+      if (from == policy.Locate(1, i)) {
+        continue;
+      }
+      if (from == 0 && queued_from_disk0 < from_disk0) {
+        plan.Add(BlockMove{.block = {1, i}});
+        ++queued_from_disk0;
+      } else if (from == 1 && movable.block < 0) {
+        movable = BlockRef{1, i};
+      }
+    }
+    ASSERT_EQ(queued_from_disk0, from_disk0);
+    ASSERT_GE(movable.block, 0);
+    plan.Add(BlockMove{.block = movable});
+
+    MoveJournal journal;
+    MigrationExecutor migration;
+    migration.AttachJournal(&journal);
+    migration.EnqueuePlan(plan);
+    FaultSchedule schedule;
+    schedule.Add(FaultEvent{.kind = FaultKind::kCrash,
+                            .round = -1,
+                            .move = crash_move,
+                            .phase = MovePhase::kIntentLogged});
+    FaultInjector injector(schedule);
+    disks.set_fault_injector(&injector);
+    injector.BeginRound(0);
+
+    std::vector<int64_t> budget = disks.BandwidthBudgets();
+    budget[0] = disk0_budget;
+    EXPECT_EQ(migration.RunRound(budget, store, disks, policy), disk0_budget);
+    EXPECT_TRUE(migration.crashed());
+    EXPECT_EQ(injector.crashes_fired(), 1);
+    EXPECT_EQ(injector.moves_seen(), crash_move + 1);
+    ASSERT_EQ(journal.size(), crash_move + 1);
+    EXPECT_EQ(journal.entries().back().block, movable);
+    EXPECT_EQ(journal.entries().back().phase, JournalPhase::kIntent);
+  };
+  // Disk 0 starved from the start: the crash fires on the first journaled
+  // intent.
+  run_case(/*from_disk0=*/2, /*disk0_budget=*/0, /*crash_move=*/0);
+  // Disk 0 runs dry after one move mid-round: the entries behind it wait
+  // without counting, so move 1 is the disk-1 block.
+  run_case(/*from_disk0=*/3, /*disk0_budget=*/1, /*crash_move=*/1);
+}
 
 // ---------------------------------------------------------------------------
 // Crash-during-streaming: the recovery contract holds with live streams

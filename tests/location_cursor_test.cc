@@ -43,9 +43,9 @@ struct Fixture {
 
   void DrainMigration() {
     while (!migration.idle()) {
-      std::unordered_map<PhysicalDiskId, int64_t> budget;
+      std::vector<int64_t> budget = disks.BandwidthBudgets();
       for (const PhysicalDiskId id : disks.live_ids()) {
-        budget[id] = 100;
+        budget[static_cast<size_t>(id)] = 100;
       }
       migration.RunRound(budget, store, disks, policy);
     }
@@ -94,9 +94,9 @@ TEST(LocationCursorTest, ScalingOpMidStreamRedirectsToPostOpLocations) {
     ASSERT_EQ(cursor.Get(i, fx.policy, fx.store, fx.migration),
               *fx.store.LocationOf({1, i}))
         << "mid-migration block " << i;
-    std::unordered_map<PhysicalDiskId, int64_t> budget;
+    std::vector<int64_t> budget = fx.disks.BandwidthBudgets();
     for (const PhysicalDiskId id : fx.disks.live_ids()) {
-      budget[id] = 4;
+      budget[static_cast<size_t>(id)] = 4;
     }
     fx.migration.RunRound(budget, fx.store, fx.disks, fx.policy);
   }

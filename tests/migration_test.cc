@@ -2,8 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <memory>
+#include <random>
+
+#include "migration_oracle.h"
 #include "placement/scaddar_policy.h"
 #include "random/sequence.h"
+#include "server/server.h"
+#include "storage/move_journal.h"
 
 namespace scaddar {
 namespace {
@@ -29,10 +37,12 @@ struct Fixture {
     SCADDAR_CHECK(store.PlaceObject(1, locations).ok());
   }
 
-  std::unordered_map<PhysicalDiskId, int64_t> Budget(int64_t per_disk) {
-    std::unordered_map<PhysicalDiskId, int64_t> budget;
-    for (const PhysicalDiskId id : disks.live_ids()) {
-      budget[id] = per_disk;
+  std::vector<int64_t> Budget(int64_t per_disk) {
+    std::vector<int64_t> budget = disks.BandwidthBudgets();
+    for (int64_t& units : budget) {
+      if (units != kNotLive) {
+        units = per_disk;
+      }
     }
     return budget;
   }
@@ -179,6 +189,300 @@ TEST(MigrationTest, TransferCountersChargedToBothEnds) {
     charged += (*fx.disks.GetDisk(id))->migration_transfers();
   }
   EXPECT_EQ(charged, 2 * moved);
+}
+
+/// One side of the oracle property test: policy, disks and store driven
+/// through the same random operations as its twin.
+struct PropertySide {
+  explicit PropertySide(int64_t n0)
+      : policy(std::make_unique<ScaddarPolicy>(n0)),
+        disks(DiskSpec{.capacity_blocks = 1'000'000,
+                       .bandwidth_blocks_per_round = 8}),
+        store(&disks) {
+    SyncDisks();
+  }
+
+  void AddObject(ObjectId id, int64_t blocks, uint64_t seed) {
+    SCADDAR_CHECK(policy->AddObject(id, MakeX0(seed, blocks)).ok());
+    std::vector<PhysicalDiskId> locations;
+    policy->LocateAllBlocks(id, locations);
+    SCADDAR_CHECK(store.PlaceObject(id, locations).ok());
+  }
+
+  /// Live set = placement disks plus every disk still holding blocks
+  /// (retiring disks serve until drained).
+  void SyncDisks() {
+    std::vector<PhysicalDiskId> live = policy->log().physical_disks();
+    for (const auto& [disk, count] : store.per_disk_counts()) {
+      if (count > 0) {
+        live.push_back(disk);
+      }
+    }
+    std::sort(live.begin(), live.end());
+    live.erase(std::unique(live.begin(), live.end()), live.end());
+    SCADDAR_CHECK(disks.SyncLiveSet(live).ok());
+  }
+
+  /// A fresh policy over the current disks with new seeds for every object
+  /// (the full-redistribution fallback). Its op log restarts at revision 0.
+  void Rebase(uint64_t generation) {
+    auto fresh = std::make_unique<ScaddarPolicy>(
+        OpLog::CreateWithIds(policy->log().physical_disks()).value());
+    for (const auto& [id, x0] : policy->objects_view()) {
+      SCADDAR_CHECK(fresh
+                        ->AddObject(id, MakeX0(static_cast<uint64_t>(id) ^
+                                                   (generation << 20),
+                                               static_cast<int64_t>(x0.size())))
+                        .ok());
+    }
+    policy = std::move(fresh);
+    SyncDisks();
+  }
+
+  std::unique_ptr<PlacementPolicy> policy;
+  DiskArray disks;
+  BlockStore store;
+};
+
+/// Random overlapping add, remove and rebase operations, objects removed
+/// and re-added while their moves are queued, and per-disk budgets of 0–3:
+/// after every round the indexed executor must agree with the per-entry
+/// scalar pass on everything a caller can observe.
+TEST(MigrationPropertyTest, MatchesScalarOracleUnderRandomOperations) {
+  for (const uint64_t seed : {0x5ca1ull, 0x5ca2ull, 0x5ca3ull, 0x5ca4ull}) {
+    std::mt19937_64 rng(seed);
+    const auto draw = [&rng](int64_t lo, int64_t hi) {
+      return std::uniform_int_distribution<int64_t>(lo, hi)(rng);
+    };
+    PropertySide indexed(5);
+    PropertySide scalar(5);
+    MigrationExecutor executor;
+    ScalarMigrationOracle oracle;
+    std::map<ObjectId, int64_t> objects = {{1, 600}, {2, 350}, {3, 900}};
+    for (const auto& [id, blocks] : objects) {
+      indexed.AddObject(id, blocks, static_cast<uint64_t>(id));
+      scalar.AddObject(id, blocks, static_cast<uint64_t>(id));
+    }
+
+    const auto both = [&](const auto& apply) {
+      apply(indexed);
+      apply(scalar);
+    };
+    const auto reconcile = [&] {
+      executor.EnqueueReconciliation(indexed.store, *indexed.policy);
+      oracle.EnqueueReconciliation(scalar.store, *scalar.policy);
+    };
+    const auto run_round = [&](int round) {
+      std::vector<int64_t> budget = indexed.disks.BandwidthBudgets();
+      for (int64_t& units : budget) {
+        if (units != kNotLive) {
+          units = draw(0, 3);
+        }
+      }
+      std::vector<int64_t> oracle_budget = budget;
+      const int64_t moved = executor.RunRound(budget, indexed.store,
+                                              indexed.disks, *indexed.policy);
+      const int64_t oracle_moved = oracle.RunRound(
+          oracle_budget, scalar.store, scalar.disks, *scalar.policy);
+      ASSERT_EQ(moved, oracle_moved) << "seed " << seed << " round " << round;
+      ASSERT_EQ(executor.QueueSnapshot(), oracle.QueueSnapshot())
+          << "seed " << seed << " round " << round;
+      ASSERT_EQ(executor.pending(), oracle.pending());
+      for (ObjectId id = 1; id <= 4; ++id) {
+        ASSERT_EQ(executor.pending_for(id), oracle.pending_for(id))
+            << "seed " << seed << " round " << round << " object " << id;
+      }
+      ASSERT_EQ(budget, oracle_budget) << "seed " << seed << " round " << round;
+      for (const auto& [id, blocks] : objects) {
+        const auto row = indexed.store.LocationsOf(id);
+        const auto oracle_row = scalar.store.LocationsOf(id);
+        ASSERT_EQ(row.ok(), oracle_row.ok());
+        if (row.ok()) {
+          ASSERT_TRUE(std::equal(row->begin(), row->end(), oracle_row->begin(),
+                                 oracle_row->end()))
+              << "seed " << seed << " round " << round << " object " << id;
+        }
+      }
+      if (moved > 0) {
+        indexed.SyncDisks();  // Drained retiring disks leave the live set.
+        scalar.SyncDisks();
+      }
+    };
+
+    int round = 0;
+    for (int step = 0; step < 40; ++step) {
+      const int64_t action = draw(0, 9);
+      if (action <= 2) {
+        const ScalingOp op = ScalingOp::Add(draw(1, 2)).value();
+        both([&](PropertySide& side) {
+          SCADDAR_CHECK(side.policy->ApplyOp(op).ok());
+          side.SyncDisks();
+        });
+      } else if (action <= 4 && indexed.policy->current_disks() > 3) {
+        const int64_t n = indexed.policy->current_disks();
+        std::vector<DiskSlot> slots = {draw(0, n - 1)};
+        if (draw(0, 1) == 1) {
+          const DiskSlot other = draw(0, n - 1);
+          if (other != slots[0]) {
+            slots.push_back(other);
+          }
+        }
+        const ScalingOp op = ScalingOp::Remove(slots).value();
+        both([&](PropertySide& side) {
+          SCADDAR_CHECK(side.policy->ApplyOp(op).ok());
+          side.SyncDisks();
+        });
+      } else if (action == 5) {
+        // Rebase; a fresh op log restarts at revision 0, and a scaling op
+        // right after brings it back to revisions the old log had.
+        const auto generation = static_cast<uint64_t>(step + 1);
+        both([&](PropertySide& side) { side.Rebase(generation); });
+        if (draw(0, 1) == 1) {
+          const ScalingOp op = ScalingOp::Add(1).value();
+          both([&](PropertySide& side) {
+            SCADDAR_CHECK(side.policy->ApplyOp(op).ok());
+            side.SyncDisks();
+          });
+        }
+      } else if (action <= 7) {
+        // Remove an object with queued moves, maybe run a round while it
+        // is gone, then add it back with new seeds and a new length, placed
+        // on arbitrary disks: its queued entries must re-resolve.
+        ObjectId victim = 0;
+        for (const auto& [id, blocks] : objects) {
+          if (executor.pending_for(id) > 0) {
+            victim = id;
+            break;
+          }
+        }
+        if (victim == 0) {
+          continue;
+        }
+        both([&](PropertySide& side) {
+          SCADDAR_CHECK(side.store.DropObject(victim).ok());
+          SCADDAR_CHECK(side.policy->RemoveObject(victim).ok());
+          side.SyncDisks();
+        });
+        if (draw(0, 2) == 0) {
+          run_round(round++);
+          if (HasFatalFailure()) {
+            return;
+          }
+        }
+        const int64_t blocks = objects[victim] * draw(5, 10) / 10;
+        const std::vector<PhysicalDiskId> disks =
+            indexed.policy->log().physical_disks();
+        std::vector<PhysicalDiskId> locations;
+        for (int64_t i = 0; i < blocks; ++i) {
+          locations.push_back(disks[static_cast<size_t>(
+              draw(0, static_cast<int64_t>(disks.size()) - 1))]);
+        }
+        const auto x0_seed = static_cast<uint64_t>(victim * 1000 + step);
+        both([&](PropertySide& side) {
+          SCADDAR_CHECK(side.policy->AddObject(victim, MakeX0(x0_seed, blocks))
+                            .ok());
+          SCADDAR_CHECK(side.store.PlaceObject(victim, locations).ok());
+          side.SyncDisks();
+        });
+        objects[victim] = blocks;
+      } else if (action == 8 && objects.size() < 4) {
+        objects[4] = 450;
+        both([&](PropertySide& side) { side.AddObject(4, 450, 4); });
+      } else if (action == 9) {
+        // Rows change behind the executor's back (as journal recovery
+        // rolls a move forward or back): queued entries must re-resolve
+        // their sources.
+        for (int k = 0; k < 8; ++k) {
+          const auto it = std::next(
+              objects.begin(),
+              static_cast<ptrdiff_t>(
+                  draw(0, static_cast<int64_t>(objects.size()) - 1)));
+          const BlockRef ref{it->first, draw(0, it->second - 1)};
+          const std::vector<PhysicalDiskId> disks =
+              indexed.policy->log().physical_disks();
+          const PhysicalDiskId to = disks[static_cast<size_t>(
+              draw(0, static_cast<int64_t>(disks.size()) - 1))];
+          const PhysicalDiskId from = indexed.store.LocationOf(ref).value();
+          if (from == to) {
+            continue;
+          }
+          both([&](PropertySide& side) {
+            SCADDAR_CHECK(side.store
+                              .ApplyMove(BlockMove{.block = ref,
+                                                   .from_physical = from,
+                                                   .to_physical = to})
+                              .ok());
+          });
+        }
+        both([](PropertySide& side) { side.SyncDisks(); });
+      }
+      // Usually queue the divergence right away; sometimes let the rounds
+      // run against a placement the queue has not caught up with.
+      if (draw(0, 3) != 0) {
+        reconcile();
+      }
+      for (int64_t r = draw(0, 3); r > 0; --r) {
+        run_round(round++);
+        if (HasFatalFailure()) {
+          return;
+        }
+      }
+    }
+    reconcile();
+    while (!executor.idle() || !oracle.idle()) {
+      run_round(round++);
+      if (HasFatalFailure()) {
+        return;
+      }
+      ASSERT_LT(round, 100'000) << "migration failed to converge";
+    }
+    EXPECT_EQ(executor.total_moved(), oracle.total_moved());
+    EXPECT_TRUE(indexed.store.VerifyAgainstPolicy(*indexed.policy).ok());
+  }
+}
+
+/// A full redistribution swaps in a fresh policy whose op log restarts at
+/// revision 0; one scaling op later it is back at the revision the old
+/// policy had. Queued moves must still chase the new AF(), never targets
+/// resolved against the old policy.
+TEST(MigrationTest, PolicySwapRetargetsQueuedMoves) {
+  ServerConfig config;
+  config.initial_disks = 4;
+  config.master_seed = 0x5a4b;
+  config.journal_migration = true;
+  auto server = std::move(CmServer::Create(config)).value();
+  ASSERT_TRUE(server->AddObject(1, 800).ok());
+  ASSERT_TRUE(server->AddObject(2, 500).ok());
+  ASSERT_TRUE(server->ScaleAdd(1).ok());
+  for (int round = 0; round < 3; ++round) {
+    server->Tick();
+  }
+  ASSERT_FALSE(server->migration().idle());
+  ASSERT_GT(server->journal().size(), 0);
+  const int64_t revision_before = server->policy().log().revision();
+  const int64_t journal_at_swap = server->journal().size();
+
+  ASSERT_TRUE(server->FullRedistribution().ok());
+  ASSERT_TRUE(server->ScaleAdd(1).ok());
+  ASSERT_EQ(server->policy().log().revision(), revision_before);
+  int rounds = 0;
+  while (!server->migration().idle()) {
+    server->Tick();
+    ASSERT_LT(++rounds, 20'000);
+  }
+  ASSERT_TRUE(server->VerifyIntegrity().ok());
+
+  int64_t checked = 0;
+  for (const JournalEntry& entry : server->journal().entries()) {
+    if (entry.id < journal_at_swap) {
+      continue;
+    }
+    EXPECT_EQ(entry.to,
+              server->policy().Locate(entry.block.object, entry.block.block))
+        << "move " << entry.id << " targeted the replaced policy";
+    ++checked;
+  }
+  EXPECT_GT(checked, 0);
 }
 
 }  // namespace

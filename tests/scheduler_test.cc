@@ -58,7 +58,7 @@ TEST(RoundSchedulerTest, LeftoverBandwidthReported) {
   std::vector<Stream> streams;
   streams.emplace_back(0, 1, 2, 0);
   RoundScheduler scheduler;
-  std::unordered_map<PhysicalDiskId, int64_t> leftover;
+  std::vector<int64_t> leftover;
   scheduler.Run(streams, store, disks, &leftover);
   EXPECT_EQ(leftover[0], 3);  // One of four units spent on disk 0.
   EXPECT_EQ(leftover[1], 4);  // Disk 1 untouched.

@@ -5,6 +5,7 @@
 
 #include "placement/scaddar_policy.h"
 #include "random/sequence.h"
+#include "migration_oracle.h"
 #include "server/migration.h"
 #include "server/server.h"
 #include "server/workload/traffic_engine.h"
@@ -58,10 +59,12 @@ struct Fixture {
     SCADDAR_CHECK(disks.SyncLiveSet(live).ok());
   }
 
-  std::unordered_map<PhysicalDiskId, int64_t> Budget(int64_t per_disk) {
-    std::unordered_map<PhysicalDiskId, int64_t> budget;
-    for (const PhysicalDiskId id : disks.live_ids()) {
-      budget[id] = per_disk;
+  std::vector<int64_t> Budget(int64_t per_disk) {
+    std::vector<int64_t> budget = disks.BandwidthBudgets();
+    for (int64_t& units : budget) {
+      if (units != kNotLive) {
+        units = per_disk;
+      }
     }
     return budget;
   }
@@ -70,6 +73,7 @@ struct Fixture {
   DiskArray disks;
   BlockStore store;
   MigrationExecutor migration;
+  ScalarMigrationOracle oracle;
 };
 
 const std::vector<int64_t> kObjects = {1500, 700, 2300};
@@ -84,20 +88,20 @@ TEST(ServingEquivalenceTest, RunRoundMovesIdenticalToScalar) {
   batched.Apply(op);
   scalar.Apply(op);
   batched.migration.EnqueueReconciliation(batched.store, batched.policy);
-  scalar.migration.EnqueueReconciliation(scalar.store, scalar.policy);
+  scalar.oracle.EnqueueReconciliation(scalar.store, scalar.policy);
   ASSERT_EQ(batched.migration.QueueSnapshot(),
-            scalar.migration.QueueSnapshot());
+            scalar.oracle.QueueSnapshot());
   int rounds = 0;
-  while (!batched.migration.idle() || !scalar.migration.idle()) {
+  while (!batched.migration.idle() || !scalar.oracle.idle()) {
     auto batched_budget = batched.Budget(3);
     auto scalar_budget = scalar.Budget(3);
     const int64_t moved_batched = batched.migration.RunRound(
         batched_budget, batched.store, batched.disks, batched.policy);
-    const int64_t moved_scalar = scalar.migration.RunRoundScalar(
+    const int64_t moved_scalar = scalar.oracle.RunRound(
         scalar_budget, scalar.store, scalar.disks, scalar.policy);
     ASSERT_EQ(moved_batched, moved_scalar) << "round " << rounds;
     ASSERT_EQ(batched.migration.QueueSnapshot(),
-              scalar.migration.QueueSnapshot())
+              scalar.oracle.QueueSnapshot())
         << "round " << rounds;
     ASSERT_EQ(batched_budget, scalar_budget) << "round " << rounds;
     ASSERT_LT(++rounds, 2000) << "migration failed to converge";
@@ -111,7 +115,7 @@ TEST(ServingEquivalenceTest, RunRoundMovesIdenticalToScalar) {
                            row_scalar->begin(), row_scalar->end()))
         << "object " << id;
   }
-  EXPECT_EQ(batched.migration.total_moved(), scalar.migration.total_moved());
+  EXPECT_EQ(batched.migration.total_moved(), scalar.oracle.total_moved());
   EXPECT_TRUE(batched.store.VerifyAgainstPolicy(batched.policy).ok());
 }
 
@@ -124,21 +128,21 @@ TEST(ServingEquivalenceTest, RunRoundIdenticalAcrossRemove) {
   batched.Apply(op);
   scalar.Apply(op);
   batched.migration.EnqueueReconciliation(batched.store, batched.policy);
-  scalar.migration.EnqueueReconciliation(scalar.store, scalar.policy);
+  scalar.oracle.EnqueueReconciliation(scalar.store, scalar.policy);
   int rounds = 0;
-  while (!batched.migration.idle() || !scalar.migration.idle()) {
+  while (!batched.migration.idle() || !scalar.oracle.idle()) {
     auto batched_budget = batched.Budget(5);
     auto scalar_budget = scalar.Budget(5);
     batched.migration.RunRound(batched_budget, batched.store, batched.disks,
                                batched.policy);
-    scalar.migration.RunRoundScalar(scalar_budget, scalar.store, scalar.disks,
-                                    scalar.policy);
+    scalar.oracle.RunRound(scalar_budget, scalar.store, scalar.disks,
+                           scalar.policy);
     ASSERT_EQ(batched.migration.QueueSnapshot(),
-              scalar.migration.QueueSnapshot())
+              scalar.oracle.QueueSnapshot())
         << "round " << rounds;
     ASSERT_LT(++rounds, 2000);
   }
-  EXPECT_EQ(batched.migration.total_moved(), scalar.migration.total_moved());
+  EXPECT_EQ(batched.migration.total_moved(), scalar.oracle.total_moved());
 }
 
 /// The sharded reconciliation scan queues a byte-identical block list for
