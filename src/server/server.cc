@@ -237,15 +237,29 @@ Status CmServer::FullRedistribution() {
 
 StatusOr<int64_t> CmServer::StartStream(ObjectId object) {
   SCADDAR_ASSIGN_OR_RETURN(const CmObject meta, catalog_.GetObject(object));
-  if (!admission_.Admit(ActiveLoad(), meta.bitrate_weight,
+  if (!admission_.Admit(committed_load_, meta.bitrate_weight,
                         PlacementBandwidth())) {
     return ResourceExhaustedError("admission control rejected the stream");
   }
   const int64_t id = next_stream_id_++;
-  streams_.emplace_back(id, object, meta.num_blocks, round_,
-                        meta.bitrate_weight);
-  ++streams_per_object_[object];
+  AppendStream(id, object, meta.num_blocks, round_, meta.bitrate_weight);
   return id;
+}
+
+Stream& CmServer::AppendStream(int64_t id, ObjectId object,
+                               int64_t num_blocks, int64_t start_round,
+                               int64_t rate) {
+  SCADDAR_DCHECK(streams_.empty() || streams_.back().id() < id);
+  committed_load_ += rate;
+  ++streams_per_object_[object];
+  return streams_.emplace_back(id, object, num_blocks, start_round, rate);
+}
+
+Stream* CmServer::FindStream(int64_t stream_id) {
+  const auto it = std::lower_bound(
+      streams_.begin(), streams_.end(), stream_id,
+      [](const Stream& stream, int64_t id) { return stream.id() < id; });
+  return it != streams_.end() && it->id() == stream_id ? &*it : nullptr;
 }
 
 int64_t CmServer::ActiveStreamsFor(ObjectId object) const {
@@ -254,13 +268,18 @@ int64_t CmServer::ActiveStreamsFor(ObjectId object) const {
 }
 
 std::vector<StreamHandoff> CmServer::DetachStreamsFor(ObjectId object) {
+  // Rates and handoff states are read before compaction: remove_if leaves
+  // moved-from values in the tail.
   std::vector<StreamHandoff> handoffs;
   for (const Stream& stream : streams_) {
-    if (stream.object() != object || stream.finished()) {
+    if (stream.object() != object) {
       continue;
     }
-    handoffs.push_back(StreamHandoff{object, stream.next_block(),
-                                     stream.paused()});
+    committed_load_ -= stream.rate();
+    if (!stream.finished()) {
+      handoffs.push_back(StreamHandoff{object, stream.next_block(),
+                                       stream.paused()});
+    }
   }
   const auto detached = std::remove_if(
       streams_.begin(), streams_.end(), [object](const Stream& stream) {
@@ -277,14 +296,6 @@ ParallelPlanOptions CmServer::ReconcileOptions() const {
   ParallelPlanOptions options;
   options.num_threads = config_.reconcile_threads;
   return options;
-}
-
-int64_t CmServer::ActiveLoad() const {
-  int64_t load = 0;
-  for (const Stream& stream : streams_) {
-    load += stream.rate();
-  }
-  return load;
 }
 
 RoundMetrics CmServer::Tick() {
@@ -349,33 +360,36 @@ RoundMetrics CmServer::Tick() {
   }
   metrics.retiring_disks = static_cast<int64_t>(retiring_.size());
 
-  // Startup-latency observation: a stream whose playback position first
-  // leaves block 0 this round got its first delivery now. Pure bookkeeping
-  // after the serving paths ran, so every path records identically.
-  for (Stream& stream : streams_) {
+  // One pass over the streams after the serving paths ran, so every path
+  // records identically:
+  //  - startup latency: a stream whose playback position first leaves
+  //    block 0 this round got its first delivery now;
+  //  - finished streams release their refcount and rate and are compacted
+  //    out, the survivors keeping their (ascending id) order.
+  size_t kept = 0;
+  for (size_t i = 0; i < streams_.size(); ++i) {
+    Stream& stream = streams_[i];
     if (!stream.playback_started() && stream.next_block() > 0) {
       stream.MarkPlaybackStarted();
       startup_latencies_.push_back(round_ - stream.start_round());
     }
-  }
-
-  // Drop finished streams (refcounts first: remove_if leaves moved-from
-  // values in the tail, so the objects must be read before compaction).
-  for (const Stream& stream : streams_) {
-    if (!stream.finished()) {
+    if (stream.finished()) {
+      const auto count = streams_per_object_.find(stream.object());
+      SCADDAR_CHECK(count != streams_per_object_.end());
+      if (--count->second == 0) {
+        streams_per_object_.erase(count);
+      }
+      committed_load_ -= stream.rate();
+      ++completed_streams_;
       continue;
     }
-    const auto count = streams_per_object_.find(stream.object());
-    SCADDAR_CHECK(count != streams_per_object_.end());
-    if (--count->second == 0) {
-      streams_per_object_.erase(count);
+    if (kept != i) {
+      streams_[kept] = std::move(stream);
     }
+    ++kept;
   }
-  const auto finished = std::remove_if(
-      streams_.begin(), streams_.end(),
-      [](const Stream& stream) { return stream.finished(); });
-  completed_streams_ += streams_.end() - finished;
-  streams_.erase(finished, streams_.end());
+  streams_.erase(streams_.begin() + static_cast<ptrdiff_t>(kept),
+                 streams_.end());
 
   ++round_;
   MaybeCheckpoint();
@@ -472,33 +486,30 @@ void CmServer::MaybeAutoReorgOnRound() {
 }
 
 Status CmServer::PauseStream(int64_t stream_id) {
-  for (Stream& stream : streams_) {
-    if (stream.id() == stream_id) {
-      stream.Pause();
-      return OkStatus();
-    }
+  Stream* const stream = FindStream(stream_id);
+  if (stream == nullptr) {
+    return NotFoundError("no active stream with that id");
   }
-  return NotFoundError("no active stream with that id");
+  stream->Pause();
+  return OkStatus();
 }
 
 Status CmServer::ResumeStream(int64_t stream_id) {
-  for (Stream& stream : streams_) {
-    if (stream.id() == stream_id) {
-      stream.Resume();
-      return OkStatus();
-    }
+  Stream* const stream = FindStream(stream_id);
+  if (stream == nullptr) {
+    return NotFoundError("no active stream with that id");
   }
-  return NotFoundError("no active stream with that id");
+  stream->Resume();
+  return OkStatus();
 }
 
 Status CmServer::SeekStream(int64_t stream_id, BlockIndex block) {
-  for (Stream& stream : streams_) {
-    if (stream.id() == stream_id) {
-      stream.SeekTo(block);
-      return OkStatus();
-    }
+  Stream* const stream = FindStream(stream_id);
+  if (stream == nullptr) {
+    return NotFoundError("no active stream with that id");
   }
-  return NotFoundError("no active stream with that id");
+  stream->SeekTo(block);
+  return OkStatus();
 }
 
 StatusOr<std::string> CmServer::SaveSnapshot() const {
@@ -649,6 +660,7 @@ StatusOr<JournalRecoveryStats> CmServer::SimulateCrashRestart() {
   snapshot_crashed_ = false;
   streams_.clear();
   streams_per_object_.clear();
+  committed_load_ = 0;
   // The engine crashes first: queued-but-unsubmitted staged copies vanish
   // (their bytes never reached the medium), the slot layout round-trips
   // through its serialized form, and every disk reopens through the
@@ -836,6 +848,11 @@ Status CmServer::LoadFromState(const ServerSnapshot& snapshot,
       return InvalidArgumentError("snapshot row length != object size");
     }
   }
+  for (size_t i = 1; i < snapshot.streams.size(); ++i) {
+    if (snapshot.streams[i - 1].id >= snapshot.streams[i].id) {
+      return InvalidArgumentError("snapshot streams out of id order");
+    }
+  }
 
   // Policy + catalog: registrations interleaved with op replay, exactly as
   // `Restore` — the policy must say where blocks *should* be so the
@@ -993,11 +1010,10 @@ Status CmServer::LoadFromState(const ServerSnapshot& snapshot,
   for (const SnapshotStream& record : snapshot.streams) {
     SCADDAR_ASSIGN_OR_RETURN(const CmObject meta,
                              catalog_.GetObject(record.object));
-    streams_.emplace_back(record.id, record.object, meta.num_blocks,
-                          record.start_round, record.rate);
-    streams_.back().RestoreProgress(record.next_block, record.hiccups,
-                                    record.paused, record.playback_started);
-    ++streams_per_object_[record.object];
+    AppendStream(record.id, record.object, meta.num_blocks,
+                 record.start_round, record.rate)
+        .RestoreProgress(record.next_block, record.hiccups, record.paused,
+                         record.playback_started);
   }
   startup_latencies_ = snapshot.startup_latencies;
   round_ = snapshot.round;
@@ -1069,6 +1085,7 @@ StatusOr<CheckpointRestoreStats> CmServer::KillRestartFromCheckpoint() {
   reorg_.set_enabled(config_.auto_reorg);
   streams_.clear();
   streams_per_object_.clear();
+  committed_load_ = 0;
   retiring_.clear();
   startup_latencies_.clear();
   round_ = 0;
@@ -1128,12 +1145,19 @@ Status CmServer::VerifyIntegrity() const {
 }
 
 int64_t CmServer::PlacementBandwidth() const {
+  // Disk specs never change once a disk exists, so the sum moves only with
+  // the placement's disk set.
+  if (bandwidth_key_ == policy_->placement_key()) {
+    return placement_bandwidth_;
+  }
   int64_t total = 0;
   for (const PhysicalDiskId id : policy_->log().physical_disks()) {
     const StatusOr<const SimDisk*> disk = disks_.GetDisk(id);
     SCADDAR_CHECK(disk.ok());
     total += (*disk)->spec().bandwidth_blocks_per_round;
   }
+  placement_bandwidth_ = total;
+  bandwidth_key_ = policy_->placement_key();
   return total;
 }
 

@@ -144,12 +144,16 @@ class CmServer {
   RoundMetrics Tick();
 
   /// Detaches every active stream playing `object` and returns their
-  /// playback states, in stream-vector order. The streams vanish from this
-  /// server (they count as neither completed nor hiccuped further); the
-  /// cluster layer re-attaches them on the shard the object migrated to.
+  /// playback states, in stream-vector (ascending id) order. The streams
+  /// vanish from this server (they count as neither completed nor hiccuped
+  /// further); the cluster layer re-attaches them on the shard the object
+  /// migrated to.
   std::vector<StreamHandoff> DetachStreamsFor(ObjectId object);
 
   // --- VCR controls (Section 1 motivation #4). ---
+  // Each finds the stream by binary search: `streams()` is in ascending id
+  // order (ids are issued increasing; compaction, detach and restore keep
+  // the order).
   Status PauseStream(int64_t stream_id);
   Status ResumeStream(int64_t stream_id);
   /// Jumps the stream to `block` (clamped into the object's range).
@@ -293,8 +297,11 @@ class CmServer {
   /// stream count).
   int64_t ActiveStreamsFor(ObjectId object) const;
 
-  /// Aggregate committed stream bandwidth (sum of rates, blocks/round).
-  int64_t ActiveLoad() const;
+  /// Aggregate committed stream bandwidth: the sum of rates over
+  /// `streams()`, paused streams and finished ones not yet compacted
+  /// included (blocks/round). O(1): a running total adjusted wherever a
+  /// stream joins or leaves `streams()`.
+  int64_t ActiveLoad() const { return committed_load_; }
 
   /// Startup latency (rounds from `StartStream` to the first delivered
   /// block) of every stream that has started playback, in start order.
@@ -310,11 +317,21 @@ class CmServer {
   int64_t total_served() const { return total_served_; }
 
   /// Aggregate bandwidth of the *placement-live* disks (excludes retiring
-  /// disks, whose bandwidth is transitional).
+  /// disks, whose bandwidth is transitional). O(1) between placement
+  /// changes: the sum over `policy().log().physical_disks()` is recomputed
+  /// on the first call after `policy().placement_key()` changes.
   int64_t PlacementBandwidth() const;
 
  private:
   explicit CmServer(const ServerConfig& config);
+
+  /// Appends a stream (its id above every current one) and charges its
+  /// rate and object refcount.
+  Stream& AppendStream(int64_t id, ObjectId object, int64_t num_blocks,
+                       int64_t start_round, int64_t rate);
+
+  /// The active stream with `stream_id`, or null.
+  Stream* FindStream(int64_t stream_id);
 
   /// Rebuilds the disk array's live set as policy disks plus still-draining
   /// retiring disks.
@@ -368,8 +385,13 @@ class CmServer {
   CheckpointManager* checkpoint_ = nullptr;  // Not owned; may be null.
   bool snapshot_crashed_ = false;  // Injected kill inside a checkpoint write.
   AdmissionController admission_;
-  std::vector<Stream> streams_;
+  std::vector<Stream> streams_;  // Ascending id order.
   std::unordered_map<ObjectId, int64_t> streams_per_object_;
+  int64_t committed_load_ = 0;  // Sum of rates over `streams_`.
+  // `PlacementBandwidth` cache and the placement key it was computed at
+  // (0: never; keys start at 1). A server is driven from one thread.
+  mutable uint64_t bandwidth_key_ = 0;
+  mutable int64_t placement_bandwidth_ = 0;
   std::vector<PhysicalDiskId> retiring_;
   std::vector<int64_t> startup_latencies_;
 

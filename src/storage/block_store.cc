@@ -6,6 +6,28 @@
 
 namespace scaddar {
 
+namespace {
+
+/// Blocks per disk of `row`, indexed by physical id (ids are small), or
+/// InvalidArgument if an id is negative. Ingest counts a row once and then
+/// adjusts each disk once, instead of once per block.
+StatusOr<std::vector<int64_t>> CountPerDisk(
+    std::span<const PhysicalDiskId> row) {
+  std::vector<int64_t> counts;
+  for (const PhysicalDiskId disk : row) {
+    if (disk < 0) {
+      return InvalidArgumentError("physical disk ids are non-negative");
+    }
+    if (static_cast<size_t>(disk) >= counts.size()) {
+      counts.resize(static_cast<size_t>(disk) + 1, 0);
+    }
+    ++counts[static_cast<size_t>(disk)];
+  }
+  return counts;
+}
+
+}  // namespace
+
 Status BlockStore::PlaceObject(ObjectId id,
                                const std::vector<PhysicalDiskId>& locations) {
   if (locations.empty()) {
@@ -14,15 +36,15 @@ Status BlockStore::PlaceObject(ObjectId id,
   if (locations_.contains(id)) {
     return AlreadyExistsError("object already materialized");
   }
+  SCADDAR_ASSIGN_OR_RETURN(const std::vector<int64_t> counts,
+                           CountPerDisk(locations));
   if (io_ != nullptr) {
     SCADDAR_RETURN_IF_ERROR(io_->PlaceObject(
         id, std::span<const PhysicalDiskId>(locations)));
   }
   locations_[id] = locations;
   total_blocks_ += static_cast<int64_t>(locations.size());
-  for (const PhysicalDiskId disk : locations) {
-    AdjustDisk(disk, 1);
-  }
+  AdjustDisks(counts, 1);
   ++mutation_revision_;
   ++row_revisions_[id];
   return OkStatus();
@@ -36,9 +58,7 @@ Status BlockStore::DropObject(ObjectId id) {
   if (io_ != nullptr) {
     SCADDAR_RETURN_IF_ERROR(io_->DropObject(id));
   }
-  for (const PhysicalDiskId disk : it->second) {
-    AdjustDisk(disk, -1);
-  }
+  AdjustDisks(CountPerDisk(it->second).value(), -1);
   // Staged copies of a dropped object are garbage: release their space.
   const auto staged = staged_.find(id);
   if (staged != staged_.end()) {
@@ -245,13 +265,11 @@ Status BlockStore::VerifyAgainstPolicy(const PlacementPolicy& policy) const {
   if (staged_count_ > 0) {
     return InternalError("staged copies outstanding; a move is mid-protocol");
   }
+  std::vector<PhysicalDiskId> expected;
   for (const auto& [id, locations] : locations_) {
-    for (size_t i = 0; i < locations.size(); ++i) {
-      const PhysicalDiskId expected =
-          policy.Locate(id, static_cast<BlockIndex>(i));
-      if (expected != locations[i]) {
-        return InternalError("materialized location diverges from AF()");
-      }
+    policy.LocateAllBlocks(id, expected);
+    if (expected != locations) {
+      return InternalError("materialized location diverges from AF()");
     }
   }
   return OkStatus();
@@ -262,10 +280,16 @@ int64_t BlockStore::CountOn(PhysicalDiskId disk) const {
   return it == per_disk_counts_.end() ? 0 : it->second;
 }
 
+void BlockStore::AdjustDisks(const std::vector<int64_t>& counts,
+                             int64_t sign) {
+  for (size_t disk = 0; disk < counts.size(); ++disk) {
+    if (counts[disk] > 0) {
+      AdjustDisk(static_cast<PhysicalDiskId>(disk), sign * counts[disk]);
+    }
+  }
+}
+
 void BlockStore::AdjustDisk(PhysicalDiskId disk, int64_t delta) {
-  // Ingest calls this once per block. `try_emplace` has no other caller in
-  // this file, so GCC keeps its lookup inline here; `operator[]` on the same
-  // map type serves the row revisions too and is not inlined.
   const auto count = per_disk_counts_.try_emplace(disk, 0).first;
   count->second += delta;
   SCADDAR_CHECK(count->second >= 0);

@@ -36,7 +36,8 @@ class BlockStore {
   void AttachIoEngine(BlockIoEngine* io) { io_ = io; }
   BlockIoEngine* io_engine() const { return io_; }
 
-  /// Materializes an object whose block `i` lives on `locations[i]`.
+  /// Materializes an object whose block `i` lives on `locations[i]`
+  /// (non-empty; physical ids are non-negative, else InvalidArgument).
   Status PlaceObject(ObjectId id, const std::vector<PhysicalDiskId>& locations);
 
   /// Deletes an object's blocks.
@@ -108,9 +109,11 @@ class BlockStore {
   /// Executes a whole plan; stops at the first failing move.
   Status ApplyPlan(const MovePlan& plan);
 
-  /// Verifies that every stored block is exactly where `policy.Locate` says
-  /// it should be — the RF()/AF() agreement check. Also fails while staged
-  /// copies are outstanding: a converged store has no move mid-protocol.
+  /// Verifies that every stored block is exactly where AF() says it should
+  /// be — the RF()/AF() agreement check, one `LocateAllBlocks` batch pass
+  /// per object. Fails (InternalError) on the first diverging row, and
+  /// while staged copies are outstanding: a converged store has no move
+  /// mid-protocol.
   Status VerifyAgainstPolicy(const PlacementPolicy& policy) const;
 
   int64_t total_blocks() const { return total_blocks_; }
@@ -124,6 +127,9 @@ class BlockStore {
   int64_t CountOn(PhysicalDiskId disk) const;
 
  private:
+  /// Adds (`sign` = 1) or removes (-1) `counts[d]` blocks on every disk
+  /// `d`, one `AdjustDisk` call per disk.
+  void AdjustDisks(const std::vector<int64_t>& counts, int64_t sign);
   void AdjustDisk(PhysicalDiskId disk, int64_t delta);
 
   DiskArray* disks_;  // Not owned; may be null.

@@ -1,109 +1,130 @@
 #include "storage/disk_array.h"
 
-#include <algorithm>
-
 namespace scaddar {
 
+namespace {
+
+Status NegativeIdError() {
+  return InvalidArgumentError("physical disk ids are non-negative");
+}
+
+}  // namespace
+
 Status DiskArray::SyncLiveSet(const std::vector<PhysicalDiskId>& live) {
-  std::unordered_map<PhysicalDiskId, bool> next_live;
-  next_live.reserve(live.size());
   for (const PhysicalDiskId id : live) {
-    next_live[id] = true;
-    if (!disks_.contains(id)) {
-      disks_.emplace(id, SimDisk(id, default_spec_));
+    if (id < 0) {
+      return NegativeIdError();
     }
   }
+  for (const PhysicalDiskId id : live) {
+    EnsureSlot(id);
+    std::optional<SimDisk>& disk = disks_[static_cast<size_t>(id)];
+    if (!disk.has_value()) {
+      disk.emplace(id, default_spec_);
+    }
+  }
+  std::vector<char> next_live(disks_.size(), 0);
+  for (const PhysicalDiskId id : live) {
+    next_live[static_cast<size_t>(id)] = 1;
+  }
   // Disks leaving the live set must already be drained.
-  for (const auto& [id, was_live] : live_) {
-    if (was_live && !next_live.contains(id)) {
-      const SimDisk& disk = disks_.at(id);
-      if (disk.num_blocks() != 0) {
-        return FailedPreconditionError(
-            "cannot retire a disk that still holds blocks");
-      }
+  for (size_t id = 0; id < live_.size(); ++id) {
+    if (live_[id] && !next_live[id] && disks_[id]->num_blocks() != 0) {
+      return FailedPreconditionError(
+          "cannot retire a disk that still holds blocks");
     }
   }
   live_ = std::move(next_live);
-  num_live_ = static_cast<int64_t>(live.size());
+  RebuildBudgets();
   return OkStatus();
 }
 
 Status DiskArray::AddDisk(PhysicalDiskId id, const DiskSpec& spec) {
-  if (disks_.contains(id)) {
+  if (id < 0) {
+    return NegativeIdError();
+  }
+  if (Has(id)) {
     return AlreadyExistsError("disk id already present");
   }
-  disks_.emplace(id, SimDisk(id, spec));
-  live_[id] = true;
-  ++num_live_;
+  EnsureSlot(id);
+  disks_[static_cast<size_t>(id)].emplace(id, spec);
+  live_[static_cast<size_t>(id)] = 1;
+  RebuildBudgets();
   return OkStatus();
 }
 
+void DiskArray::EnsureSlot(PhysicalDiskId id) {
+  if (static_cast<size_t>(id) >= disks_.size()) {
+    disks_.resize(static_cast<size_t>(id) + 1);
+    live_.resize(static_cast<size_t>(id) + 1, 0);
+  }
+}
+
+void DiskArray::RebuildBudgets() {
+  size_t end = live_.size();
+  while (end > 0 && !live_[end - 1]) {
+    --end;
+  }
+  budgets_.assign(end, kNotLive);
+  num_live_ = 0;
+  for (size_t id = 0; id < end; ++id) {
+    if (live_[id]) {
+      budgets_[id] = disks_[id]->spec().bandwidth_blocks_per_round;
+      ++num_live_;
+    }
+  }
+}
+
 bool DiskArray::IsLive(PhysicalDiskId id) const {
-  const auto it = live_.find(id);
-  return it != live_.end() && it->second;
+  return id >= 0 && static_cast<size_t>(id) < live_.size() &&
+         live_[static_cast<size_t>(id)];
+}
+
+bool DiskArray::Has(PhysicalDiskId id) const {
+  return id >= 0 && static_cast<size_t>(id) < disks_.size() &&
+         disks_[static_cast<size_t>(id)].has_value();
 }
 
 StatusOr<SimDisk*> DiskArray::GetDisk(PhysicalDiskId id) {
-  const auto it = disks_.find(id);
-  if (it == disks_.end()) {
+  if (!Has(id)) {
     return NotFoundError("unknown disk id");
   }
-  return &it->second;
+  return &*disks_[static_cast<size_t>(id)];
 }
 
 StatusOr<const SimDisk*> DiskArray::GetDisk(PhysicalDiskId id) const {
-  const auto it = disks_.find(id);
-  if (it == disks_.end()) {
+  if (!Has(id)) {
     return NotFoundError("unknown disk id");
   }
-  return const_cast<const SimDisk*>(&it->second);
+  return &*disks_[static_cast<size_t>(id)];
 }
 
 std::vector<PhysicalDiskId> DiskArray::live_ids() const {
   std::vector<PhysicalDiskId> ids;
   ids.reserve(static_cast<size_t>(num_live_));
-  for (const auto& [id, is_live] : live_) {
-    if (is_live) {
-      ids.push_back(id);
+  for (size_t id = 0; id < live_.size(); ++id) {
+    if (live_[id]) {
+      ids.push_back(static_cast<PhysicalDiskId>(id));
     }
   }
-  std::sort(ids.begin(), ids.end());
   return ids;
 }
 
 int64_t DiskArray::TotalBandwidth() const {
   int64_t total = 0;
-  for (const auto& [id, is_live] : live_) {
-    if (is_live) {
-      total += disks_.at(id).spec().bandwidth_blocks_per_round;
+  for (size_t id = 0; id < live_.size(); ++id) {
+    if (live_[id]) {
+      total += disks_[id]->spec().bandwidth_blocks_per_round;
     }
   }
   return total;
 }
 
-std::vector<int64_t> DiskArray::BandwidthBudgets() const {
-  PhysicalDiskId max_id = -1;
-  for (const auto& [id, is_live] : live_) {
-    if (is_live) {
-      max_id = std::max(max_id, id);
-    }
-  }
-  std::vector<int64_t> budgets(static_cast<size_t>(max_id + 1), kNotLive);
-  for (const auto& [id, is_live] : live_) {
-    if (is_live) {
-      budgets[static_cast<size_t>(id)] =
-          disks_.at(id).spec().bandwidth_blocks_per_round;
-    }
-  }
-  return budgets;
-}
-
 int64_t DiskArray::TotalFreeCapacity() const {
   int64_t total = 0;
-  for (const auto& [id, is_live] : live_) {
-    if (is_live) {
-      const SimDisk& disk = disks_.at(id);
-      total += disk.spec().capacity_blocks - disk.num_blocks();
+  for (size_t id = 0; id < live_.size(); ++id) {
+    if (live_[id]) {
+      total += disks_[id]->spec().capacity_blocks - disks_[id]->num_blocks();
     }
   }
   return total;
@@ -111,8 +132,10 @@ int64_t DiskArray::TotalFreeCapacity() const {
 
 std::vector<int64_t> DiskArray::LiveOccupancy() const {
   std::vector<int64_t> occupancy;
-  for (const PhysicalDiskId id : live_ids()) {
-    occupancy.push_back(disks_.at(id).num_blocks());
+  for (size_t id = 0; id < live_.size(); ++id) {
+    if (live_[id]) {
+      occupancy.push_back(disks_[id]->num_blocks());
+    }
   }
   return occupancy;
 }

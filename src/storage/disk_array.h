@@ -2,7 +2,7 @@
 #define SCADDAR_STORAGE_DISK_ARRAY_H_
 
 #include <cstdint>
-#include <unordered_map>
+#include <optional>
 #include <vector>
 
 #include "storage/disk.h"
@@ -21,6 +21,13 @@ inline constexpr int64_t kNotLive = -1;
 /// the placement layer's op log decides *which* ids are live, and the array
 /// tracks the hardware-side state (specs, occupancy, service counters).
 /// Retired disks are kept (inactive) so post-mortem stats survive removals.
+///
+/// Physical ids are small, non-negative and never reused, so the table is a
+/// vector indexed by id: `GetDisk` and `IsLive` are one bounds-checked
+/// index. The round-budget vector is kept as a template that only
+/// `SyncLiveSet` and `AddDisk` rebuild; `BandwidthBudgets` copies it.
+/// Pointers from `GetDisk` stay valid until the next `SyncLiveSet` or
+/// `AddDisk`, which may grow the table.
 class DiskArray {
  public:
   explicit DiskArray(const DiskSpec& default_spec)
@@ -29,7 +36,8 @@ class DiskArray {
   /// Brings the array in sync with the live id set: creates missing disks
   /// with `default_spec_` and deactivates ids no longer present. Removal
   /// requires the disk to be empty (the migration must have drained it) —
-  /// fails with FailedPrecondition otherwise.
+  /// fails with FailedPrecondition otherwise. Negative ids are
+  /// InvalidArgument.
   Status SyncLiveSet(const std::vector<PhysicalDiskId>& live);
 
   /// Direct creation with a custom spec (heterogeneous extensions).
@@ -50,8 +58,9 @@ class DiskArray {
   /// per-round bandwidth, `kNotLive` for every other id up to the largest
   /// live one. Physical ids are small and never reused, so the scheduler
   /// and the migration executor spend budget with one indexed load instead
-  /// of a hash lookup.
-  std::vector<int64_t> BandwidthBudgets() const;
+  /// of a hash lookup. A copy of the template; O(largest live id), no
+  /// lookups.
+  std::vector<int64_t> BandwidthBudgets() const { return budgets_; }
 
   /// Aggregate free capacity of live disks (blocks).
   int64_t TotalFreeCapacity() const;
@@ -67,10 +76,20 @@ class DiskArray {
   FaultInjector* fault_injector() const { return injector_; }
 
  private:
+  /// True iff a disk (live or retired) exists under `id`.
+  bool Has(PhysicalDiskId id) const;
+
+  /// Grows the table so `id` has a slot.
+  void EnsureSlot(PhysicalDiskId id);
+
+  /// Rebuilds `budgets_` and `num_live_` from `live_`.
+  void RebuildBudgets();
+
   DiskSpec default_spec_;
   FaultInjector* injector_ = nullptr;  // Not owned; may be null.
-  std::unordered_map<PhysicalDiskId, SimDisk> disks_;
-  std::unordered_map<PhysicalDiskId, bool> live_;
+  std::vector<std::optional<SimDisk>> disks_;  // Indexed by physical id.
+  std::vector<char> live_;                     // Parallel to `disks_`.
+  std::vector<int64_t> budgets_;  // The `BandwidthBudgets` template.
   int64_t num_live_ = 0;
 };
 

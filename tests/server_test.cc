@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
+#include <vector>
+
+#include "recovery/checkpoint_manager.h"
+
 namespace scaddar {
 namespace {
 
@@ -265,6 +271,144 @@ TEST(CmServerTest, WorksWithEveryRegisteredPolicy) {
     }
     EXPECT_TRUE(server->VerifyIntegrity().ok()) << name;
   }
+}
+
+// The server keeps its committed load, placement bandwidth and the disk
+// array's budget template as running values; each must equal a recount
+// from scratch. `streams()` must stay in ascending id order, which the VCR
+// calls' binary search relies on.
+void ExpectTotalsMatchRecount(const CmServer& server) {
+  int64_t load = 0;
+  for (const Stream& stream : server.streams()) {
+    load += stream.rate();
+  }
+  EXPECT_EQ(server.ActiveLoad(), load);
+
+  int64_t bandwidth = 0;
+  for (const PhysicalDiskId id : server.policy().log().physical_disks()) {
+    bandwidth +=
+        server.disks().GetDisk(id).value()->spec().bandwidth_blocks_per_round;
+  }
+  EXPECT_EQ(server.PlacementBandwidth(), bandwidth);
+
+  const std::vector<PhysicalDiskId> live = server.disks().live_ids();
+  std::vector<int64_t> budgets(
+      live.empty() ? 0 : static_cast<size_t>(live.back() + 1), kNotLive);
+  for (const PhysicalDiskId id : live) {
+    budgets[static_cast<size_t>(id)] =
+        server.disks().GetDisk(id).value()->spec().bandwidth_blocks_per_round;
+  }
+  EXPECT_EQ(server.disks().BandwidthBudgets(), budgets);
+
+  for (size_t i = 1; i < server.streams().size(); ++i) {
+    EXPECT_LT(server.streams()[i - 1].id(), server.streams()[i].id());
+  }
+}
+
+TEST(CmServerTest, RunningTotalsEqualRecomputation) {
+  ServerConfig config = SmallConfig();
+  config.initial_disks = 6;
+  auto server = MakeServer(config);
+  CheckpointManager manager;
+  ASSERT_TRUE(server->EnableCheckpoints(&manager, /*every=*/16).ok());
+  std::mt19937_64 rng(20241017);
+  const auto pick = [&rng](size_t n) {
+    return static_cast<size_t>(rng() % n);
+  };
+  ObjectId next_object = 1;
+  // Rates 1-4: with every rate 1 a load is just a stream count, and a
+  // recount over the wrong streams could still come out equal.
+  const auto add_object = [&] {
+    const int64_t rate = 1 + static_cast<int64_t>(pick(4));
+    const int64_t blocks = 30 + static_cast<int64_t>(pick(90));
+    ASSERT_TRUE(server->AddObject(next_object++, blocks, rate).ok());
+  };
+  for (int i = 0; i < 6; ++i) {
+    add_object();
+  }
+  const auto random_object = [&] {
+    const std::vector<ObjectId> ids = server->catalog().object_ids();
+    return ids.empty() ? ObjectId{0} : ids[pick(ids.size())];
+  };
+
+  int64_t detached = 0;
+  int64_t seeks_to_end = 0;
+  int64_t unknown_ids = 0;
+  for (int step = 0; step < 1500 && !HasFailure(); ++step) {
+    const size_t op = pick(100);
+    const std::vector<Stream>& streams = server->streams();
+    if (op < 30) {
+      (void)server->StartStream(random_object());
+    } else if (op < 44 && !streams.empty()) {
+      // VCR calls must hit exactly the stream they name.
+      const Stream& target = streams[pick(streams.size())];
+      const int64_t id = target.id();
+      const size_t vcr = pick(3);
+      if (vcr == 0) {
+        ASSERT_TRUE(server->PauseStream(id).ok());
+        EXPECT_TRUE(target.paused());
+      } else if (vcr == 1) {
+        ASSERT_TRUE(server->ResumeStream(id).ok());
+        EXPECT_FALSE(target.paused());
+      } else {
+        const bool to_end = pick(4) == 0;
+        const BlockIndex block =
+            to_end ? target.num_blocks()
+                   : static_cast<BlockIndex>(
+                         pick(static_cast<size_t>(target.num_blocks())));
+        ASSERT_TRUE(server->SeekStream(id, block).ok());
+        EXPECT_EQ(target.next_block(), block);
+        seeks_to_end += to_end ? 1 : 0;
+      }
+    } else if (op < 70) {
+      server->Tick();
+    } else if (op < 73) {
+      ASSERT_TRUE(server->ScaleAdd(1 + static_cast<int64_t>(pick(2))).ok());
+    } else if (op < 76) {
+      const int64_t disks = server->policy().current_disks();
+      if (disks > 3) {
+        ASSERT_TRUE(server
+                        ->ScaleRemove({static_cast<DiskSlot>(
+                            pick(static_cast<size_t>(disks)))})
+                        .ok());
+      }
+    } else if (op < 78) {
+      ASSERT_TRUE(server->FullRedistribution().ok());
+    } else if (op < 81) {
+      (void)server->RemoveObject(random_object());  // Refused if streamed.
+    } else if (op < 84) {
+      add_object();
+    } else if (op < 86) {
+      ASSERT_TRUE(server->SimulateCrashRestart().ok());
+    } else if (op < 88) {
+      ASSERT_TRUE(server->KillRestartFromCheckpoint().ok());
+    } else if (op < 92) {
+      const ObjectId object = random_object();
+      const int64_t before = server->ActiveStreamsFor(object);
+      server->DetachStreamsFor(object);
+      EXPECT_EQ(server->ActiveStreamsFor(object), 0);
+      detached += before;
+    } else {
+      // Ids below, between and above the live ones (finished, detached or
+      // never issued) are NotFound.
+      const int64_t top = streams.empty() ? 0 : streams.back().id() + 2;
+      const auto id = static_cast<int64_t>(pick(static_cast<size_t>(top + 1)));
+      const bool live = std::any_of(
+          streams.begin(), streams.end(),
+          [id](const Stream& stream) { return stream.id() == id; });
+      if (!live) {
+        EXPECT_EQ(server->PauseStream(id).code(), StatusCode::kNotFound);
+        EXPECT_EQ(server->SeekStream(id, 0).code(), StatusCode::kNotFound);
+        ++unknown_ids;
+      }
+    }
+    ExpectTotalsMatchRecount(*server);
+  }
+  // The walk must have exercised the paths whose bookkeeping it checks.
+  EXPECT_GT(server->completed_streams(), 0);
+  EXPECT_GT(detached, 0);
+  EXPECT_GT(seeks_to_end, 0);
+  EXPECT_GT(unknown_ids, 0);
 }
 
 }  // namespace
