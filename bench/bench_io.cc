@@ -5,9 +5,9 @@
 //  1. Raw backend throughput — blocks/second written and read back through
 //     each file-backed backend at queue depths 1/8/32, same disk files,
 //     same 4 KiB block images. The io_uring backend's claim is amortized
-//     submission (one `io_uring_enter` per batch per disk, fixed buffers);
-//     the sync backend pays a handoff per batch to per-disk workers. The
-//     acceptance target: uring >= 2x sync at QD >= 8.
+//     submission (one `io_uring_enter` per batch for all disks, fixed
+//     buffers); the sync backend pays a handoff per batch to per-disk
+//     workers. The acceptance target: uring >= 2x sync at QD >= 8.
 //  2. Served-round latency — a file-backed CmServer's per-round Tick cost
 //     (p50/p99) and served-block throughput on each backend, quiet vs.
 //     with a scale-up migration running. This is the number the serving
@@ -307,10 +307,10 @@ int main(int argc, char** argv) {
     bench::PrintRule();
     std::printf(
         "Expected shape: at QD >= 8 the uring backend amortizes one\n"
-        "submission per batch per disk against the sync backend's worker\n"
-        "handoffs — the target is >= 2x read throughput. Served-round p99\n"
-        "stays flat under migration because a round's reads and a round's\n"
-        "staged copies each go down as one batch per disk.\n");
+        "submission per batch for all disks against the sync backend's\n"
+        "per-disk worker handoffs — the target is >= 2x read throughput.\n"
+        "Served-round p99 stays flat under migration because a round's\n"
+        "reads and a round's staged copies each go down as one batch.\n");
   }
   if (!smoke) {
     SCADDAR_CHECK(json.WriteFile("BENCH_io.json"));

@@ -421,7 +421,7 @@ int64_t MigrationExecutor::RunRound(std::span<int64_t> budget,
   };
 
   // Two-phase (engine) rounds stage every move first and commit after the
-  // engine lands the round's copies in one batched submission per disk.
+  // engine lands the round's copies in batched drains.
   struct StagedMove {
     int64_t entry = 0;
     int32_t slot = 0;
@@ -566,8 +566,8 @@ int64_t MigrationExecutor::RunRound(std::span<int64_t> budget,
   }
 
   // Two-phase commit pass: land the round's staged copies — batched source
-  // reads, batched target writes (one submission per disk each), one flush
-  // per touched disk — then walk the stage order. Copies the backend failed
+  // reads, then batched target writes (one drain each), one flush per
+  // touched disk — then walk the stage order. Copies the backend failed
   // abort and go to the back of the queue; intact ones complete the
   // write-ahead protocol, where "copied" now genuinely means durable bytes.
   if (io_ != nullptr && !staged_moves.empty()) {

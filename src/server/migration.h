@@ -63,7 +63,7 @@ class MigrationExecutor {
 
   /// Attaches the real-I/O engine (requires a journal). Journaled rounds
   /// then run two-phase: every move stages first, the engine lands the
-  /// whole round's copies in one batched submission per disk
+  /// whole round's copies in one read drain and one write drain
   /// (`BlockIoEngine::FinishMigrationRound`), and only copies that landed
   /// intact are marked copied and committed. Copies the backend failed
   /// (injected EIO, short write) are aborted and re-queued at the tail as

@@ -326,8 +326,8 @@ RoundMetrics CmServer::Tick() {
   total_served_ += service.served;
   total_hiccups_ += service.hiccups;
 
-  // Land the round's physical serve reads: one batched submission per disk,
-  // verified against the canonical images as the completions drain.
+  // Land the round's physical serve reads in one batched drain, verified
+  // against the canonical images as the completions come back.
   if (io_engine_ != nullptr) {
     SCADDAR_CHECK(io_engine_->FinishServeRound().ok());
   }

@@ -293,7 +293,7 @@ Status BlockIoEngine::PlaceObject(ObjectId id,
     row.push_back(SlotLoc{disk, AllocSlot(disk)});
   }
   // Chunked batch writes: fill a pool of image buffers, push the whole
-  // chunk down in one submission per disk, reclaim, repeat.
+  // chunk down in one drain, reclaim, repeat.
   const size_t chunk =
       std::max<size_t>(static_cast<size_t>(options_.queue_depth), 32);
   std::vector<AlignedPtr> buffers;
@@ -493,7 +493,7 @@ Status BlockIoEngine::FinishMigrationRound(std::vector<BlockRef>* failed) {
   if (pending_copies_.empty()) {
     return OkStatus();
   }
-  // Phase 1: batched source reads (one submission per source disk).
+  // Phase 1: batched source reads, all source disks in one drain.
   for (size_t i = 0; i < pending_copies_.size(); ++i) {
     PendingCopy& copy = pending_copies_[i];
     copy.buf = AllocBlock();
@@ -509,7 +509,7 @@ Status BlockIoEngine::FinishMigrationRound(std::vector<BlockRef>* failed) {
   SCADDAR_RETURN_IF_ERROR(DrainAndDispatch());
 
   // Phase 2: batched target writes for the copies whose source read was
-  // intact (one submission per target disk), then one flush per disk.
+  // intact, all target disks in one drain, then one flush per disk.
   std::unordered_set<PhysicalDiskId> touched;
   for (size_t i = 0; i < pending_copies_.size(); ++i) {
     PendingCopy& copy = pending_copies_[i];

@@ -36,8 +36,8 @@ struct EngineIoStats {
 /// contract:
 ///
 ///  - Serving: `EnqueueServeRead` per delivered block, `FinishServeRound`
-///    once per round — a whole round's reads go down in one submission per
-///    disk, overlapping with the scheduler's resolve work.
+///    once per round — a whole round's reads go down in one batched
+///    submission (one for every disk on the io_uring backend).
 ///  - Migration: `StageCopy` just allocates the staged slot (metadata);
 ///    `FinishMigrationRound` performs every staged copy of the round —
 ///    batched source reads, then batched target writes, then one flush per
@@ -118,12 +118,12 @@ class BlockIoEngine {
   /// arena. Auto-drains when the arena fills mid-round.
   Status EnqueueServeRead(BlockRef ref, PhysicalDiskId disk);
 
-  /// Submits and drains the round's serve reads (one submission per disk),
-  /// verifying each returned image header.
+  /// Submits and drains the round's serve reads in one batch, verifying
+  /// each returned image header.
   Status FinishServeRound();
 
   /// Executes every copy staged since the last call: batched source reads,
-  /// batched target writes (one submission per disk each), one flush per
+  /// then batched target writes (one drain each), then one flush per
   /// touched target disk. Appends the refs whose copy failed (injected
   /// EIO, short write, corrupt source) to `failed` — their staged slots
   /// still exist and the caller is expected to abort them.

@@ -60,8 +60,10 @@ struct BackendOptions {
   /// the file-backed specs).
   int64_t block_bytes = 4096;
 
-  /// Per-disk submission-queue depth (io_uring ring size; also the
-  /// auto-submit high-water mark for the other backends). Clamped to >= 1.
+  /// Per-disk queue depth: the io_uring backend caps each disk's ops
+  /// queued or in flight at it, the sync backend dispatches a disk's queue
+  /// to its worker once it holds this many ops, and the in-memory backend
+  /// (which executes at enqueue) ignores it. Clamped to >= 1.
   int queue_depth = 32;
 
   /// Worker threads for the sync backend's per-disk executors (ignored by
@@ -73,7 +75,7 @@ struct BackendOptions {
 /// think in `(object, block) -> physical disk`; this seam thinks in
 /// `(disk, slot) -> block image` and nothing else. All transfer APIs are
 /// *asynchronous and batched*: `Enqueue*` queues work and returns a token,
-/// `SubmitAll` pushes every queued op down in one batch per disk, and
+/// `SubmitAll` pushes every queued op down in batches, and
 /// `DrainCompletions` waits for the in-flight set. Completion order is
 /// unspecified; tokens tie completions back to requests.
 ///
@@ -83,7 +85,9 @@ struct BackendOptions {
 /// not assume any particular overlap, only the token contract.
 ///
 /// Thread safety: none. One owner (the `BlockIoEngine`) drives a backend;
-/// the serving runtime's parallelism stays above this layer.
+/// the serving runtime's parallelism stays above this layer. The owner may
+/// move between threads, as a cluster's pooled shard ticks do, provided a
+/// thread drains what it issued before another thread issues.
 class StorageBackend {
  public:
   virtual ~StorageBackend() = default;
@@ -115,8 +119,9 @@ class StorageBackend {
   /// completions first; flushing with ops in flight is a checked bug.
   virtual Status Flush(PhysicalDiskId disk) = 0;
 
-  /// Pushes every queued op toward the medium — one batched submission per
-  /// disk — without waiting for completions.
+  /// Pushes every queued op toward the medium without waiting for
+  /// completions: one submission for every disk on the io_uring backend,
+  /// one worker batch per disk on the sync backend.
   virtual Status SubmitAll() = 0;
 
   /// Submits anything still queued, waits for every in-flight op and
@@ -180,7 +185,7 @@ void MakeDirectories(std::string_view path);
 ///   "file:<dir>"   one file per disk under <dir>, pread/pwrite on
 ///                  per-disk workers (the portable sync backend)
 ///   "uring:<dir>"  one file per disk under <dir>, one io_uring ring per
-///                  disk with `options.queue_depth` entries
+///                  issuing thread for all of them
 ///
 /// The file-backed specs open with O_DIRECT and fall back to buffered I/O
 /// where the filesystem refuses it (tmpfs). "uring:" falls back to the

@@ -8,6 +8,8 @@
 #include <sys/uio.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cerrno>
 #include <cstring>
 
@@ -39,6 +41,19 @@ T* RingPtr(void* base, unsigned offset) {
   return reinterpret_cast<T*>(static_cast<char*>(base) + offset);
 }
 
+/// A process-unique id for the calling thread. `pthread_t` and
+/// `std::thread::id` values are reused once a thread exits, and a reused
+/// value would hand the new thread a ring that refuses it.
+uint64_t ThisThreadId() {
+  static std::atomic<uint64_t> next{1};
+  thread_local const uint64_t id =
+      next.fetch_add(1, std::memory_order_relaxed);
+  return id;
+}
+
+/// io_uring_setup's limit on ring entries (IORING_MAX_ENTRIES).
+constexpr int64_t kMaxRingEntries = 32768;
+
 }  // namespace
 
 bool UringAvailable() {
@@ -62,23 +77,33 @@ UringBackend::UringBackend(std::string directory,
 }
 
 UringBackend::~UringBackend() {
-  std::vector<IoCompletion> sink;
-  (void)DrainCompletions(sink);
-  for (auto& [id, ring] : rings_) {
+  if (current_ != nullptr) {
+    (void)SubmitAndWait(*current_);
+  }
+  for (Ring& ring : rings_) {
     TeardownRing(ring);
+  }
+  for (const Disk& disk : disks_) {
+    if (disk.fd >= 0) {
+      ::close(disk.fd);
+    }
   }
 }
 
 Status UringBackend::SetupRing(Ring& ring) {
+  const unsigned entries = static_cast<unsigned>(std::min(
+      std::max<int64_t>(arena_count_, queue_depth()), kMaxRingEntries));
   io_uring_params params;
   std::memset(&params, 0, sizeof(params));
-  // SINGLE_ISSUER + COOP_TASKRUN shave kernel-side bookkeeping; both are
-  // newer than io_uring itself, so retry plain when the kernel objects.
-  params.flags = IORING_SETUP_SINGLE_ISSUER | IORING_SETUP_COOP_TASKRUN;
-  int fd = UringSetup(static_cast<unsigned>(queue_depth()), &params);
+  // DEFER_TASKRUN runs completion work only when the owner waits, so a
+  // drain is woken once for its whole batch instead of once per op. Both
+  // flags are newer than io_uring itself; retry plain when the kernel
+  // objects.
+  params.flags = IORING_SETUP_SINGLE_ISSUER | IORING_SETUP_DEFER_TASKRUN;
+  int fd = UringSetup(entries, &params);
   if (fd < 0 && errno == EINVAL) {
     std::memset(&params, 0, sizeof(params));
-    fd = UringSetup(static_cast<unsigned>(queue_depth()), &params);
+    fd = UringSetup(entries, &params);
   }
   if (fd < 0) {
     return UnavailableError(std::string("io_uring_setup: ") +
@@ -86,7 +111,6 @@ Status UringBackend::SetupRing(Ring& ring) {
   }
   ring.ring_fd = fd;
   ring.sq_entries = params.sq_entries;
-  ring.cq_entries = params.cq_entries;
 
   ring.sq_len = params.sq_off.array + params.sq_entries * sizeof(unsigned);
   ring.cq_len = params.cq_off.cqes + params.cq_entries * sizeof(io_uring_cqe);
@@ -121,7 +145,6 @@ Status UringBackend::SetupRing(Ring& ring) {
   }
   ring.sqes = static_cast<io_uring_sqe*>(sqes);
 
-  ring.sq_head = RingPtr<unsigned>(ring.sq_mem, params.sq_off.head);
   ring.sq_tail = RingPtr<unsigned>(ring.sq_mem, params.sq_off.tail);
   ring.sq_mask = RingPtr<unsigned>(ring.sq_mem, params.sq_off.ring_mask);
   ring.sq_array = RingPtr<unsigned>(ring.sq_mem, params.sq_off.array);
@@ -129,6 +152,16 @@ Status UringBackend::SetupRing(Ring& ring) {
   ring.cq_tail = RingPtr<unsigned>(cq_base, params.cq_off.tail);
   ring.cq_mask = RingPtr<unsigned>(cq_base, params.cq_off.ring_mask);
   ring.cqes = RingPtr<io_uring_cqe>(cq_base, params.cq_off.cqes);
+
+  if (arena_base_ != nullptr) {
+    iovec vec;
+    vec.iov_base = arena_base_;
+    vec.iov_len = static_cast<size_t>(arena_count_ * block_bytes());
+    // Registration is an optimization (locked-memory limits can refuse
+    // it); unregistered READ/WRITE opcodes keep everything working.
+    ring.buffers_registered =
+        UringRegister(fd, IORING_REGISTER_BUFFERS, &vec, 1) == 0;
+  }
   return OkStatus();
 }
 
@@ -149,44 +182,55 @@ void UringBackend::TeardownRing(Ring& ring) {
     ::close(ring.ring_fd);
     ring.ring_fd = -1;
   }
-  if (ring.file_fd >= 0) {
-    ::close(ring.file_fd);
-    ring.file_fd = -1;
-  }
-}
-
-Status UringBackend::RegisterArenaOn(Ring& ring) {
-  if (arena_base_ == nullptr || ring.buffers_registered) {
-    return OkStatus();
-  }
-  iovec vec;
-  vec.iov_base = arena_base_;
-  vec.iov_len = static_cast<size_t>(arena_count_ * block_bytes());
-  if (UringRegister(ring.ring_fd, IORING_REGISTER_BUFFERS, &vec, 1) < 0) {
-    // Registration is an optimization (locked-memory limits can refuse
-    // it); unregistered READ/WRITE opcodes keep everything working.
-    return OkStatus();
-  }
-  ring.buffers_registered = true;
-  return OkStatus();
 }
 
 Status UringBackend::RegisterBufferArena(std::byte* base, int64_t count) {
+  // Each ring registers the arena when it is set up, so drop the rings and
+  // let every thread's next op set its ring up around the new arena.
+  for (Ring& ring : rings_) {
+    SCADDAR_CHECK(ring.to_submit == 0 && ring.in_flight == 0);
+    TeardownRing(ring);
+  }
+  rings_.clear();
+  current_ = nullptr;
   arena_base_ = base;
   arena_count_ = count;
-  for (auto& [id, ring] : rings_) {
-    if (ring.buffers_registered) {
-      UringRegister(ring.ring_fd, IORING_UNREGISTER_BUFFERS, nullptr, 0);
-      ring.buffers_registered = false;
-    }
-    SCADDAR_RETURN_IF_ERROR(RegisterArenaOn(ring));
-  }
   return OkStatus();
 }
 
+StatusOr<UringBackend::Ring*> UringBackend::IssuingRing() {
+  const uint64_t thread = ThisThreadId();
+  if (current_ != nullptr && current_->thread == thread) {
+    return current_;
+  }
+  // Another thread issued last. Its ring refuses this thread, so whatever
+  // it left in flight could never be waited for from here.
+  for (const Ring& ring : rings_) {
+    SCADDAR_DCHECK(ring.to_submit == 0 && ring.in_flight == 0);
+  }
+  for (Ring& ring : rings_) {
+    if (ring.thread == thread) {
+      current_ = &ring;
+      return current_;
+    }
+  }
+  Ring ring;
+  ring.thread = thread;
+  SCADDAR_RETURN_IF_ERROR(SetupRing(ring));
+  rings_.push_back(ring);
+  current_ = &rings_.back();
+  return current_;
+}
+
 Status UringBackend::OpenDisk(PhysicalDiskId disk) {
-  Ring& ring = rings_[disk];
-  if (ring.ring_fd >= 0) {
+  if (disk < 0) {
+    return InvalidArgumentError("negative disk id");
+  }
+  if (disk >= static_cast<PhysicalDiskId>(disks_.size())) {
+    disks_.resize(static_cast<size_t>(disk) + 1);
+  }
+  Disk& state = disks_[static_cast<size_t>(disk)];
+  if (state.fd >= 0) {
     return OkStatus();
   }
   const std::string path =
@@ -198,150 +242,124 @@ Status UringBackend::OpenDisk(PhysicalDiskId disk) {
     direct_ = true;
   }
   if (fd < 0) {
-    rings_.erase(disk);
     return UnavailableError("open(" + path + "): " + std::strerror(errno));
   }
-  ring.file_fd = fd;
-  const Status setup = SetupRing(ring);
-  if (!setup.ok()) {
-    TeardownRing(ring);
-    rings_.erase(disk);
-    return setup;
-  }
-  return RegisterArenaOn(ring);
-}
-
-Status UringBackend::CloseDisk(PhysicalDiskId disk) {
-  std::vector<IoCompletion> sink;
-  SCADDAR_RETURN_IF_ERROR(DrainCompletions(sink));
-  completed_.insert(completed_.end(), sink.begin(), sink.end());
-  const auto it = rings_.find(disk);
-  if (it == rings_.end()) {
-    return NotFoundError("disk not open");
-  }
-  TeardownRing(it->second);
-  rings_.erase(it);
+  state.fd = fd;
   return OkStatus();
 }
 
-StatusOr<UringBackend::Ring*> UringBackend::Lookup(PhysicalDiskId disk) {
-  const auto it = rings_.find(disk);
-  if (it == rings_.end() || it->second.ring_fd < 0) {
-    return NotFoundError("disk not open");
+Status UringBackend::CloseDisk(PhysicalDiskId disk) {
+  SCADDAR_ASSIGN_OR_RETURN(Disk * state, Lookup(disk));
+  // Completions stay queued for the caller's next drain.
+  if (current_ != nullptr) {
+    SCADDAR_RETURN_IF_ERROR(SubmitAndWait(*current_));
   }
-  return &it->second;
+  ::close(state->fd);
+  state->fd = -1;
+  return OkStatus();
 }
 
-Status UringBackend::PrepOp(Ring& ring, IoOp op, int64_t offset, void* addr,
-                            int64_t len, int64_t token) {
-  const unsigned head = __atomic_load_n(ring.sq_head, __ATOMIC_ACQUIRE);
-  unsigned tail = *ring.sq_tail;
-  if (tail - head >= ring.sq_entries) {
-    SCADDAR_RETURN_IF_ERROR(SubmitRing(ring));
+StatusOr<UringBackend::Disk*> UringBackend::Lookup(PhysicalDiskId disk) {
+  if (disk < 0 || disk >= static_cast<PhysicalDiskId>(disks_.size()) ||
+      disks_[static_cast<size_t>(disk)].fd < 0) {
+    return NotFoundError("disk not open");
   }
-  if (ring.in_flight + ring.to_submit >=
-      static_cast<int64_t>(ring.cq_entries)) {
-    // CQ about to overflow: push what we have and reap one batch.
-    SCADDAR_RETURN_IF_ERROR(SubmitRing(ring));
-    SCADDAR_RETURN_IF_ERROR(ReapRing(ring, 1));
+  return &disks_[static_cast<size_t>(disk)];
+}
+
+StatusOr<int64_t> UringBackend::Enqueue(PhysicalDiskId disk, IoOp op,
+                                        int64_t slot, std::byte* buf) {
+  SCADDAR_ASSIGN_OR_RETURN(Disk * state, Lookup(disk));
+  SCADDAR_ASSIGN_OR_RETURN(Ring * ring, IssuingRing());
+  const int64_t token = next_token_++;
+  const IoFault fault = NextFault(disk, op);
+  if (fault == IoFault::kEio) {
+    IoCompletion completion;
+    completion.token = token;
+    completion.status = UnavailableError(op == IoOp::kRead
+                                             ? "injected EIO on read"
+                                             : "injected EIO on write");
+    completed_.push_back(std::move(completion));
+    return token;
   }
-  tail = *ring.sq_tail;
-  const unsigned index = tail & *ring.sq_mask;
-  io_uring_sqe& sqe = ring.sqes[index];
+  int64_t len = block_bytes();
+  if (fault == IoFault::kShort) {
+    len /= 2;
+    if (direct_) {
+      len = AlignDownToSector(len);
+    }
+  }
+  // A full ring or a disk at its queue depth: land everything in flight
+  // first. Keeping in-flight ops within the SQ size also keeps the CQ
+  // (at least as large) from overflowing.
+  if (ring->in_flight + ring->to_submit >= ring->sq_entries ||
+      state->outstanding >= queue_depth()) {
+    SCADDAR_RETURN_IF_ERROR(SubmitAndWait(*ring));
+  }
+  const unsigned tail = *ring->sq_tail;
+  const unsigned index = tail & *ring->sq_mask;
+  io_uring_sqe& sqe = ring->sqes[index];
   std::memset(&sqe, 0, sizeof(sqe));
-  const bool in_arena =
-      arena_base_ != nullptr && static_cast<std::byte*>(addr) >= arena_base_ &&
-      static_cast<std::byte*>(addr) < arena_base_ + arena_count_ * block_bytes();
-  const bool fixed = in_arena && ring.buffers_registered;
+  const bool fixed = ring->buffers_registered && buf >= arena_base_ &&
+                     buf < arena_base_ + arena_count_ * block_bytes();
   if (op == IoOp::kRead) {
     sqe.opcode = fixed ? IORING_OP_READ_FIXED : IORING_OP_READ;
   } else {
     sqe.opcode = fixed ? IORING_OP_WRITE_FIXED : IORING_OP_WRITE;
   }
-  sqe.fd = ring.file_fd;
-  sqe.off = static_cast<__u64>(offset);
-  sqe.addr = reinterpret_cast<__u64>(addr);
+  sqe.fd = state->fd;
+  sqe.off = static_cast<__u64>(slot * block_bytes());
+  sqe.addr = reinterpret_cast<__u64>(buf);
   sqe.len = static_cast<__u32>(len);
   sqe.buf_index = 0;  // The arena is registered as one iovec.
   // Low bit carries the opcode so reaping can split read/write stats.
   sqe.user_data =
       (static_cast<__u64>(token) << 1) | (op == IoOp::kWrite ? 1 : 0);
-  ring.sq_array[index] = index;
-  __atomic_store_n(ring.sq_tail, tail + 1, __ATOMIC_RELEASE);
-  ++ring.to_submit;
-  return OkStatus();
+  ring->sq_array[index] = index;
+  __atomic_store_n(ring->sq_tail, tail + 1, __ATOMIC_RELEASE);
+  ++ring->to_submit;
+  if (state->outstanding++ == 0) {
+    busy_disks_.push_back(disk);
+  }
+  return token;
 }
 
 StatusOr<int64_t> UringBackend::EnqueueRead(PhysicalDiskId disk, int64_t slot,
                                             std::byte* buf) {
-  SCADDAR_ASSIGN_OR_RETURN(Ring * ring, Lookup(disk));
-  const int64_t token = next_token_++;
-  const IoFault fault = NextFault(disk, IoOp::kRead);
-  if (fault == IoFault::kEio) {
-    IoCompletion completion;
-    completion.token = token;
-    completion.status = UnavailableError("injected EIO on read");
-    completed_.push_back(std::move(completion));
-    return token;
-  }
-  int64_t len = block_bytes();
-  if (fault == IoFault::kShort) {
-    len /= 2;
-    if (direct_) {
-      len = AlignDownToSector(len);
-    }
-  }
-  SCADDAR_RETURN_IF_ERROR(
-      PrepOp(*ring, IoOp::kRead, slot * block_bytes(), buf, len, token));
-  return token;
+  return Enqueue(disk, IoOp::kRead, slot, buf);
 }
 
 StatusOr<int64_t> UringBackend::EnqueueWrite(PhysicalDiskId disk,
                                              int64_t slot,
                                              const std::byte* buf) {
-  SCADDAR_ASSIGN_OR_RETURN(Ring * ring, Lookup(disk));
-  const int64_t token = next_token_++;
-  const IoFault fault = NextFault(disk, IoOp::kWrite);
-  if (fault == IoFault::kEio) {
-    IoCompletion completion;
-    completion.token = token;
-    completion.status = UnavailableError("injected EIO on write");
-    completed_.push_back(std::move(completion));
-    return token;
-  }
-  int64_t len = block_bytes();
-  if (fault == IoFault::kShort) {
-    len /= 2;
-    if (direct_) {
-      len = AlignDownToSector(len);
+  return Enqueue(disk, IoOp::kWrite, slot, const_cast<std::byte*>(buf));
+}
+
+Status UringBackend::SubmitAndWait(Ring& ring) {
+  while (ring.to_submit > 0 || ring.in_flight > 0) {
+    const unsigned submit = ring.to_submit;
+    const unsigned wait = static_cast<unsigned>(ring.in_flight) + submit;
+    const int res =
+        UringEnter(ring.ring_fd, submit, wait, IORING_ENTER_GETEVENTS);
+    if (res < 0) {
+      if (errno == EINTR) {
+        continue;
+      }
+      return UnavailableError(std::string("io_uring_enter: ") +
+                              std::strerror(errno));
     }
-  }
-  SCADDAR_RETURN_IF_ERROR(PrepOp(*ring, IoOp::kWrite, slot * block_bytes(),
-                                 const_cast<std::byte*>(buf), len, token));
-  return token;
-}
-
-Status UringBackend::SubmitRing(Ring& ring) {
-  if (ring.to_submit == 0) {
-    return OkStatus();
-  }
-  const int res = UringEnter(ring.ring_fd, ring.to_submit, 0, 0);
-  if (res < 0) {
-    return UnavailableError(std::string("io_uring_enter: ") +
-                            std::strerror(errno));
-  }
-  ring.in_flight += res;
-  ring.to_submit -= static_cast<unsigned>(res);
-  ++stats_.submit_batches;
-  return OkStatus();
-}
-
-Status UringBackend::ReapRing(Ring& ring, int64_t min_complete) {
-  int64_t reaped = 0;
-  while (true) {
+    if (submit > 0) {
+      if (res == 0) {
+        return UnavailableError("io_uring_enter submitted nothing");
+      }
+      ring.in_flight += res;
+      ring.to_submit -= static_cast<unsigned>(res);
+      ++stats_.submit_batches;
+    }
+    // A signal can end the wait early; reap what landed and go round.
     unsigned head = *ring.cq_head;
     const unsigned tail = __atomic_load_n(ring.cq_tail, __ATOMIC_ACQUIRE);
-    while (head != tail) {
+    for (; head != tail; ++head) {
       const io_uring_cqe& cqe = ring.cqes[head & *ring.cq_mask];
       IoCompletion completion;
       completion.token = static_cast<int64_t>(cqe.user_data >> 1);
@@ -353,28 +371,21 @@ Status UringBackend::ReapRing(Ring& ring, int64_t min_complete) {
         ((cqe.user_data & 1) != 0 ? stats_.writes : stats_.reads)++;
       }
       completed_.push_back(std::move(completion));
-      ++head;
-      ++reaped;
       --ring.in_flight;
     }
     __atomic_store_n(ring.cq_head, head, __ATOMIC_RELEASE);
-    if (reaped >= min_complete || ring.in_flight == 0) {
-      return OkStatus();
-    }
-    const unsigned want = static_cast<unsigned>(min_complete - reaped);
-    const int res =
-        UringEnter(ring.ring_fd, 0, want, IORING_ENTER_GETEVENTS);
-    if (res < 0 && errno != EINTR) {
-      return UnavailableError(std::string("io_uring_enter(wait): ") +
-                              std::strerror(errno));
-    }
   }
+  for (const PhysicalDiskId disk : busy_disks_) {
+    disks_[static_cast<size_t>(disk)].outstanding = 0;
+  }
+  busy_disks_.clear();
+  return OkStatus();
 }
 
 Status UringBackend::Flush(PhysicalDiskId disk) {
-  SCADDAR_ASSIGN_OR_RETURN(Ring * ring, Lookup(disk));
-  SCADDAR_CHECK(ring->to_submit == 0 && ring->in_flight == 0);
-  if (::fdatasync(ring->file_fd) != 0) {
+  SCADDAR_ASSIGN_OR_RETURN(Disk * state, Lookup(disk));
+  SCADDAR_CHECK(state->outstanding == 0);
+  if (::fdatasync(state->fd) != 0) {
     return UnavailableError(std::string("fdatasync: ") +
                             std::strerror(errno));
   }
@@ -383,18 +394,23 @@ Status UringBackend::Flush(PhysicalDiskId disk) {
 }
 
 Status UringBackend::SubmitAll() {
-  for (auto& [disk, ring] : rings_) {
-    SCADDAR_RETURN_IF_ERROR(SubmitRing(ring));
+  if (current_ == nullptr || current_->to_submit == 0) {
+    return OkStatus();
   }
+  const int res = UringEnter(current_->ring_fd, current_->to_submit, 0, 0);
+  if (res < 0) {
+    return UnavailableError(std::string("io_uring_enter: ") +
+                            std::strerror(errno));
+  }
+  current_->in_flight += res;
+  current_->to_submit -= static_cast<unsigned>(res);
+  ++stats_.submit_batches;
   return OkStatus();
 }
 
 Status UringBackend::DrainCompletions(std::vector<IoCompletion>& out) {
-  SCADDAR_RETURN_IF_ERROR(SubmitAll());
-  for (auto& [disk, ring] : rings_) {
-    while (ring.in_flight > 0) {
-      SCADDAR_RETURN_IF_ERROR(ReapRing(ring, ring.in_flight));
-    }
+  if (current_ != nullptr) {
+    SCADDAR_RETURN_IF_ERROR(SubmitAndWait(*current_));
   }
   out.insert(out.end(), completed_.begin(), completed_.end());
   completed_.clear();

@@ -6,15 +6,20 @@
 // checked end to end.
 
 #include <gtest/gtest.h>
+#include <stdlib.h>
 
 #include <algorithm>
+#include <filesystem>
 #include <memory>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "cluster/cluster_server.h"
 #include "cluster/cross_shard_migrator.h"
 #include "placement/shard_map.h"
+#include "storage/block_io.h"
+#include "storage/storage_backend.h"
 
 namespace scaddar {
 namespace {
@@ -407,6 +412,59 @@ TEST(ClusterServerTest, PerShardDiskScalingStaysOnline) {
   EXPECT_TRUE(cluster->VerifyIntegrity().ok());
   EXPECT_EQ(cluster->shard(0)->disks().num_live(), 6);
   EXPECT_EQ(cluster->shard(1)->disks().num_live(), 3);
+}
+
+TEST(ClusterServerTest, PooledShardsRunOnUring) {
+  // Pool workers tick the shards, while ingest, transfers and image checks
+  // issue from the main thread, so every shard's backend is driven by
+  // several threads in turn; each thread must get a ring of its own.
+  if (!UringAvailable()) {
+    GTEST_SKIP() << "io_uring unavailable on this kernel";
+  }
+  std::string dir = ::testing::TempDir() + "scaddar_cluster_XXXXXX";
+  ASSERT_NE(::mkdtemp(dir.data()), nullptr);
+  ClusterConfig config = SmallCluster(3);
+  config.shard.storage_backend = "uring:" + dir;
+  auto cluster = ClusterServer::Create(config).value();
+  for (ObjectId id = 1; id <= 18; ++id) {
+    ASSERT_TRUE(cluster->AddObject(id, 120).ok());
+  }
+  for (ObjectId id = 1; id <= 18; id += 2) {
+    ASSERT_TRUE(cluster->StartStream(id).ok());
+  }
+  for (int round = 0; round < 10; ++round) {
+    cluster->Tick();
+  }
+  ASSERT_TRUE(cluster->ScaleAddDisks(0, 2).ok());
+  DrainCluster(*cluster);
+  ASSERT_TRUE(cluster->AddServerShard().ok());
+  DrainCluster(*cluster);
+
+  EXPECT_TRUE(cluster->VerifyIntegrity().ok());
+  int64_t serve_reads = 0;
+  for (const int member : cluster->members()) {
+    CmServer* const shard = cluster->shard(member);
+    BlockIoEngine* const engine = shard->io_engine();
+    ASSERT_NE(engine, nullptr);
+    EXPECT_EQ(engine->backend().name(), "uring");
+    EXPECT_EQ(engine->stats().serve_errors, 0);
+    serve_reads += engine->stats().serve_reads;
+    for (const ObjectId object : shard->catalog().object_ids()) {
+      const int64_t blocks = shard->catalog().GetObject(object)->num_blocks;
+      for (BlockIndex block = 0; block < blocks; ++block) {
+        const BlockRef ref{object, block};
+        const auto image = engine->ReadImage(ref);
+        ASSERT_TRUE(image.ok()) << image.status().ToString();
+        EXPECT_TRUE(BlockIoEngine::CheckImage(
+            ref, engine->content_seed(), image->data(),
+            static_cast<int64_t>(image->size())))
+            << "object " << object << " block " << block;
+      }
+    }
+  }
+  EXPECT_GT(serve_reads, 0);
+  cluster.reset();
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace
