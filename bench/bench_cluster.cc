@@ -234,7 +234,7 @@ FireResult RunScaleOutUnderFire(const Sizes& sizes) {
     if (round == add_round) {
       SCADDAR_CHECK(cluster->AddServerShard().ok());
     }
-    const ClusterRoundMetrics metrics = cluster->DriveRound(traffic);
+    const ClusterRoundMetrics metrics = traffic.DriveRound(*cluster);
     result.requests += metrics.requests;
     result.served += metrics.served;
     result.hiccups += metrics.hiccups;

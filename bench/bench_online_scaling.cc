@@ -8,7 +8,7 @@
 
 #include "bench/bench_util.h"
 #include "server/server.h"
-#include "server/workload.h"
+#include "server/workload/traffic_engine.h"
 
 namespace scaddar {
 namespace {
@@ -36,9 +36,11 @@ Outcome RunScenario(double utilization_cap, int64_t extra_budget,
     SCADDAR_CHECK(server->AddObject(id, 2000).ok());
   }
   // Fill to the admission cap so leftover bandwidth is scarce.
-  WorkloadGenerator workload(17, 50.0, 0.729);
-  workload.SetObjects({1, 2, 3, 4, 5, 6, 7, 8, 9, 10});
-  for (const ObjectId id : workload.NextArrivals()) {
+  TrafficEngine traffic(
+      {.seed = 17, .arrivals_per_round = 50.0, .zipf_theta = 0.729});
+  traffic.SetObjects({1, 2, 3, 4, 5, 6, 7, 8, 9, 10});
+  for (const ObjectId id :
+       traffic.NextRound(server->round(), server->streams()).arrivals) {
     (void)server->StartStream(id);  // Admission decides.
   }
   while (server->StartStream(1).ok()) {

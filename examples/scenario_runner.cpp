@@ -6,12 +6,14 @@
 //   ./build/examples/scenario_runner            # runs the built-in demo
 //
 // `--cluster[=N]` runs the script against an N-server-shard ClusterServer
-// (default 2) through the cluster interpreter, which adds the `addshard`,
-// `removeshard` and `scaledisks` commands (see src/cluster/
-// cluster_scenario.h). With N=1 the summary is identical to the bare run
-// for any shared-command script — the cluster equivalence contract.
+// (default 2) instead. The one interpreter serves both targets; a cluster
+// accepts `addshard`, `removeshard` and `scaledisks` in place of the
+// bare-server-only commands. With N=1 the summary is identical to the bare
+// run for any script of the commands both accept — the cluster equivalence
+// contract.
 //
-// See src/server/scenario.h for the command reference.
+// See src/server/scenario.h for the command reference, which marks the
+// commands only one target accepts.
 
 #include <cstdio>
 #include <cstdlib>
@@ -19,7 +21,7 @@
 #include <fstream>
 #include <sstream>
 
-#include "cluster/cluster_scenario.h"
+#include "cluster/cluster_server.h"
 #include "server/scenario.h"
 
 namespace {
@@ -121,7 +123,7 @@ int main(int argc, char** argv) {
     auto cluster =
         std::move(scaddar::ClusterServer::Create(cluster_config)).value();
     const scaddar::StatusOr<scaddar::ScenarioResult> result =
-        scaddar::RunClusterScenario(*cluster, script);
+        scaddar::RunScenario(*cluster, script);
     if (!result.ok()) {
       std::fprintf(stderr, "scenario failed: %s\n",
                    result.status().ToString().c_str());

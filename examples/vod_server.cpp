@@ -8,14 +8,14 @@
 #include <cstdio>
 
 #include "server/server.h"
-#include "server/workload.h"
+#include "server/workload/traffic_engine.h"
 #include "storage/disk_model.h"
 
 using scaddar::CmServer;
 using scaddar::ObjectId;
 using scaddar::RoundMetrics;
 using scaddar::ServerConfig;
-using scaddar::WorkloadGenerator;
+using scaddar::TrafficEngine;
 
 int main() {
   // Hardware: an array of 2001-era 10k-rpm drives; the round length is one
@@ -46,13 +46,14 @@ int main() {
               static_cast<long long>(server->disks().num_live()));
 
   // Zipf-popular arrivals, Poisson at 1.2 clients/round.
-  WorkloadGenerator workload(/*seed=*/99, /*arrivals_per_round=*/1.2,
-                             /*zipf_theta=*/0.729);
-  workload.SetObjects({1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12});
+  TrafficEngine traffic(
+      {.seed = 99, .arrivals_per_round = 1.2, .zipf_theta = 0.729});
+  traffic.SetObjects({1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12});
 
   int64_t rejected = 0;
   for (int round = 0; round < 1200; ++round) {
-    for (const ObjectId id : workload.NextArrivals()) {
+    for (const ObjectId id :
+         traffic.NextRound(server->round(), server->streams()).arrivals) {
       if (!server->StartStream(id).ok()) {
         ++rejected;
       }

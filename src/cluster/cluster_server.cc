@@ -488,29 +488,14 @@ std::vector<int64_t> ClusterServer::StartupLatencies() const {
   return all;
 }
 
-ClusterRoundMetrics ClusterServer::DriveRound(TrafficEngine& engine) {
+std::vector<const Stream*> StreamView(const ClusterServer& cluster) {
   std::vector<const Stream*> view;
-  for (const Shard& entry : shards_) {
-    for (const Stream& stream : entry.server->streams()) {
+  for (const int member : cluster.members()) {
+    for (const Stream& stream : cluster.shard(member)->streams()) {
       view.push_back(&stream);
     }
   }
-  const RoundTraffic traffic = engine.NextRound(round_, view);
-  for (const ObjectId object : traffic.arrivals) {
-    if (!StartStream(object).ok()) {
-      engine.RecordRejectedArrival();
-    }
-  }
-  for (const int64_t id : traffic.pauses) {
-    SCADDAR_CHECK(PauseStream(id).ok());
-  }
-  for (const int64_t id : traffic.resumes) {
-    SCADDAR_CHECK(ResumeStream(id).ok());
-  }
-  for (const SeekEvent& seek : traffic.seeks) {
-    SCADDAR_CHECK(SeekStream(seek.stream_id, seek.block).ok());
-  }
-  return Tick();
+  return view;
 }
 
 StatusOr<std::string> ClusterServer::EncodeCheckpoint() const {

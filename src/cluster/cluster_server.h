@@ -10,7 +10,6 @@
 #include "placement/shard_map.h"
 #include "server/config.h"
 #include "server/server.h"
-#include "server/workload/traffic_engine.h"
 #include "util/statusor.h"
 #include "util/thread_pool.h"
 
@@ -115,11 +114,6 @@ class ClusterServer {
   /// wall timings captured into `timing` (may be null). This is the model
   /// clock for throughput benches on hosts narrower than the cluster.
   ClusterRoundMetrics TickSerialized(ClusterTickTiming* timing);
-
-  /// Generates one round of traffic from `engine` over the cluster-wide
-  /// stream view (shards concatenated in creation order), applies it through
-  /// routing/admission (rejects are recorded on the engine), then `Tick`s.
-  ClusterRoundMetrics DriveRound(TrafficEngine& engine);
 
   // --- Cluster scaling. -------------------------------------------------
   /// Adds an empty server shard and reroutes: every object whose jump-hash
@@ -270,6 +264,11 @@ class ClusterServer {
   int64_t round_ = 0;
   int64_t handoff_rejects_ = 0;
 };
+
+/// The cluster-wide active-stream view for the traffic engine (see
+/// `TrafficEngine::Drive`): every shard's streams, shards in creation order.
+/// A 1-shard cluster's view is exactly the bare server's.
+std::vector<const Stream*> StreamView(const ClusterServer& cluster);
 
 }  // namespace scaddar
 

@@ -10,6 +10,8 @@
 
 namespace scaddar {
 
+class ClusterServer;
+
 /// Aggregate outcome of a scenario run. The startup percentiles
 /// (nearest-rank, in rounds from `stream` to first delivered block) cover
 /// every stream that began playback during the run; 0 when none did.
@@ -31,46 +33,66 @@ struct ScenarioResult {
   int64_t startup_p999 = 0;
 };
 
-/// Drives a `CmServer` from a small line-oriented script — the repeatable
-/// experiment format used by operators and the test suite. Commands
-/// (one per line; `#` starts a comment; blank lines ignored):
+/// Drives a `CmServer` or a `ClusterServer` from a small line-oriented
+/// script — the repeatable experiment format used by operators and the test
+/// suite. One interpreter serves both targets. Commands (one per line; `#`
+/// starts a comment; blank lines ignored), marked [server] or [cluster]
+/// where only one target accepts them:
 ///
 ///   addobject <id> <blocks> [weight]     ingest an object
 ///   removeobject <id>                    delete an object
 ///   stream <object-id>                   start a stream (admission may
 ///                                        reject; counted, not an error)
 ///   pause <stream-id> | resume <stream-id> | seek <stream-id> <block>
-///   scale add <count>                    online disk-group addition
-///   scale remove <slot>[,<slot>...]      online disk-group removal
-///   rebase                               full redistribution
 ///   governor <bits> <eps> [cov]          configure the adaptive driver's
 ///                                        governor (generator width, ε
 ///                                        budget) and optionally the CoV
-///                                        drift threshold; at most one
-///                                        declaration per scenario
+///                                        drift threshold (default: the
+///                                        server's current one, or the
+///                                        cluster's shard template's); at
+///                                        most one declaration per scenario
 ///   autoreorg on|off                     enable/disable self-triggered
 ///                                        reorganization (budget gate on
 ///                                        scaling ops + end-of-round watch)
-///   backend <spec> [queue-depth]         select the storage backend
-///                                        ("sim", "mem", "file:<dir>",
-///                                        "uring:<dir>"); only legal while
-///                                        the store is empty
 ///   tick <rounds>                        run scheduling rounds
-///   drain                                tick until migration idle
-///   crash                                kill the process and restart it
-///                                        (journal recovery; streams die)
-///   checkpoint <every> [level2-every] [redundancy]
-///                                        attach a checkpoint manager (owned
-///                                        by the scenario run) and write an
-///                                        L1 set every <every> rounds,
-///                                        upgraded to a redundant L2 set
-///                                        every [level2-every] rounds;
-///                                        [redundancy] is partner|xor
-///   killrestart                          kill the process and restart from
-///                                        the newest valid checkpoint set
-///                                        (streams resume at their saved
-///                                        positions; requires `checkpoint`)
+///   drain                                tick until migration is idle (on
+///                                        a cluster: no cross-shard transfer
+///                                        queued and every shard idle)
 ///   verify                               assert store matches AF()
+///   scale add <count>                    [server] online disk-group
+///                                        addition
+///   scale remove <slot>[,<slot>...]      [server] online disk-group removal
+///   rebase                               [server] full redistribution
+///   backend <spec> [queue-depth]         [server] select the storage
+///                                        backend ("sim", "mem",
+///                                        "file:<dir>", "uring:<dir>"); only
+///                                        legal while the store is empty
+///   crash                                [server] kill the process and
+///                                        restart it (journal recovery;
+///                                        streams die)
+///   checkpoint <every> [level2-every] [redundancy]
+///                                        [server] attach a checkpoint
+///                                        manager (owned by the scenario
+///                                        run) and write an L1 set every
+///                                        <every> rounds, upgraded to a
+///                                        redundant L2 set every
+///                                        [level2-every] rounds;
+///                                        [redundancy] is partner|xor
+///   killrestart                          [server] kill the process and
+///                                        restart from the newest valid
+///                                        checkpoint set (streams resume at
+///                                        their saved positions; requires
+///                                        `checkpoint`)
+///   addshard                             [cluster] add a server shard
+///                                        (jump-hash delta objects start
+///                                        migrating)
+///   removeshard <member>                 [cluster] evacuate and retire a
+///                                        shard
+///   scaledisks <member> add <count>      [cluster] disk-group addition
+///                                        inside one shard
+///   scaledisks <member> remove <slot>[,<slot>...]
+///                                        [cluster] disk-group removal
+///                                        inside one shard
 ///
 /// Traffic-engine hooks (seeded, replayable synthetic load — see
 /// `server/workload/traffic_engine.h`):
@@ -85,12 +107,22 @@ struct ScenarioResult {
 ///                                        (arrivals + VCR events + Tick)
 ///
 /// `traffic` settings take effect at the next `ticktraffic`, which
-/// (re)builds the engine over the catalog's objects in registration order
+/// (re)builds the engine over the target's objects in registration order
 /// (= popularity rank). Changing settings between `ticktraffic` runs starts
 /// a fresh deterministic trace.
 ///
-/// Execution stops at the first failing command; the error names the line.
+/// On a cluster, `migrated` counts disk-level moves inside shards plus the
+/// blocks copied between shards. A 1-shard cluster runs any script of the
+/// commands both targets accept to the same `ScenarioResult` as a bare
+/// server with the shard's config — the DSL-level face of the cluster
+/// equivalence contract.
+///
+/// Execution stops at the first failing command, including a malformed
+/// argument or a command the target does not accept; the error is
+/// InvalidArgument and names the line.
 StatusOr<ScenarioResult> RunScenario(CmServer& server,
+                                     std::string_view script);
+StatusOr<ScenarioResult> RunScenario(ClusterServer& cluster,
                                      std::string_view script);
 
 }  // namespace scaddar

@@ -7,26 +7,42 @@
 
 namespace scaddar {
 
+Status ValidateTrafficConfig(const TrafficConfig& config) {
+  // Written so that NaN fails every range.
+  const auto finite_non_negative = [](double x) {
+    return x >= 0.0 && std::isfinite(x);
+  };
+  const auto probability = [](double p) { return p >= 0.0 && p <= 1.0; };
+  if (!finite_non_negative(config.arrivals_per_round)) {
+    return InvalidArgumentError("traffic arrivals must be finite and >= 0");
+  }
+  if (!finite_non_negative(config.zipf_theta)) {
+    return InvalidArgumentError("traffic zipf theta must be finite and >= 0");
+  }
+  if (!(config.diurnal_amplitude >= 0.0 && config.diurnal_amplitude < 1.0)) {
+    return InvalidArgumentError("traffic diurnal amplitude must be in [0, 1)");
+  }
+  if (config.diurnal_amplitude > 0.0 && config.diurnal_period <= 0) {
+    return InvalidArgumentError("traffic diurnal period must be > 0");
+  }
+  for (const FlashCrowd& crowd : config.flash_crowds) {
+    if (crowd.duration < 0 || crowd.boost < 0 || crowd.rank < 0) {
+      return InvalidArgumentError(
+          "traffic flash duration, rank and boost must be >= 0");
+    }
+  }
+  if (!probability(config.pause_probability) ||
+      !probability(config.resume_probability) ||
+      !probability(config.seek_probability)) {
+    return InvalidArgumentError("traffic vcr probabilities must be in [0, 1]");
+  }
+  return OkStatus();
+}
+
 TrafficEngine::TrafficEngine(const TrafficConfig& config)
     : config_(config),
       prng_(MakePrng(PrngKind::kSplitMix64, config.seed)) {
-  SCADDAR_CHECK(config.arrivals_per_round >= 0.0);
-  SCADDAR_CHECK(config.zipf_theta >= 0.0);
-  SCADDAR_CHECK(config.diurnal_amplitude >= 0.0 &&
-                config.diurnal_amplitude < 1.0);
-  if (config.diurnal_amplitude > 0.0) {
-    SCADDAR_CHECK(config.diurnal_period > 0);
-  }
-  for (const FlashCrowd& crowd : config.flash_crowds) {
-    SCADDAR_CHECK(crowd.duration >= 0 && crowd.boost >= 0 &&
-                  crowd.rank >= 0);
-  }
-  SCADDAR_CHECK(config.pause_probability >= 0.0 &&
-                config.pause_probability <= 1.0);
-  SCADDAR_CHECK(config.resume_probability >= 0.0 &&
-                config.resume_probability <= 1.0);
-  SCADDAR_CHECK(config.seek_probability >= 0.0 &&
-                config.seek_probability <= 1.0);
+  SCADDAR_CHECK(ValidateTrafficConfig(config).ok());
 }
 
 void TrafficEngine::SetObjects(std::vector<ObjectId> objects) {
@@ -112,25 +128,6 @@ RoundTraffic TrafficEngine::NextRound(
     }
   }
   return traffic;
-}
-
-RoundMetrics TrafficEngine::DriveRound(CmServer& server) {
-  const RoundTraffic traffic = NextRound(server.round(), server.streams());
-  for (const ObjectId object : traffic.arrivals) {
-    if (!server.StartStream(object).ok()) {
-      ++rejected_arrivals_;
-    }
-  }
-  for (const int64_t id : traffic.pauses) {
-    SCADDAR_CHECK(server.PauseStream(id).ok());
-  }
-  for (const int64_t id : traffic.resumes) {
-    SCADDAR_CHECK(server.ResumeStream(id).ok());
-  }
-  for (const SeekEvent& seek : traffic.seeks) {
-    SCADDAR_CHECK(server.SeekStream(seek.stream_id, seek.block).ok());
-  }
-  return server.Tick();
 }
 
 }  // namespace scaddar

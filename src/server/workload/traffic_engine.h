@@ -3,12 +3,14 @@
 
 #include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "core/types.h"
 #include "random/distributions.h"
 #include "random/prng.h"
 #include "server/server.h"
+#include "util/statusor.h"
 
 namespace scaddar {
 
@@ -45,7 +47,7 @@ struct TrafficConfig {
   int64_t diurnal_period = 1440;
 
   /// Scheduled flash crowds (may overlap; boosts add).
-  std::vector<FlashCrowd> flash_crowds;
+  std::vector<FlashCrowd> flash_crowds = {};
 
   /// Per-active-stream, per-round probabilities of VCR events. A paused
   /// stream rolls only `resume_probability`; a playing stream rolls pause
@@ -54,6 +56,12 @@ struct TrafficConfig {
   double resume_probability = 0.0;
   double seek_probability = 0.0;
 };
+
+/// OK when `config` is in range (probabilities in [0, 1], counts and rates
+/// finite and non-negative, a positive period under a diurnal curve);
+/// InvalidArgument naming the first bad setting otherwise. The engine
+/// requires it.
+Status ValidateTrafficConfig(const TrafficConfig& config);
 
 /// The VCR/seek half of a round's traffic, keyed by stream id.
 struct SeekEvent {
@@ -72,17 +80,22 @@ struct RoundTraffic {
   std::vector<SeekEvent> seeks;       // Streams jumping position.
 };
 
-/// Seeded, replayable traffic generator for the serving benches, the
-/// scenario DSL and the twin-server stress tests: Zipf object popularity,
-/// a diurnal load
-/// curve, scheduled flash crowds and per-stream VCR events (pause / resume
-/// / random seek), all drawn from one private PRNG so a `(config, server
-/// history)` pair maps to exactly one traffic trace.
-///
-/// The existing `WorkloadGenerator` stays as the minimal Poisson+Zipf
-/// arrival source; this engine layers the time-varying and interactive
-/// effects the paper's Section 1 motivates (VCR operations are motivation
-/// #4 for random placement) on top of the same distributions.
+/// The active-stream view the engine rolls VCR events over: a bare server's
+/// streams, in the order `streams()` keeps them. `cluster/cluster_server.h`
+/// overloads it for a cluster.
+inline const std::vector<Stream>& StreamView(const CmServer& server) {
+  return server.streams();
+}
+
+/// Seeded, replayable traffic generator for the examples, the serving
+/// benches, the scenario DSL and the twin-server stress tests: Poisson
+/// arrivals over Zipf object popularity, a diurnal load curve, scheduled
+/// flash crowds and per-stream VCR events (pause / resume / random seek),
+/// all drawn from one private PRNG so a `(config, server history)` pair maps
+/// to exactly one traffic trace. With the curve, the crowds and VCR off it
+/// is the plain Poisson+Zipf arrival source; the rest are the time-varying
+/// and interactive effects the paper's Section 1 motivates (VCR operations
+/// are motivation #4 for random placement).
 class TrafficEngine {
  public:
   explicit TrafficEngine(const TrafficConfig& config);
@@ -104,21 +117,42 @@ class TrafficEngine {
   RoundTraffic NextRound(int64_t round,
                          const std::vector<const Stream*>& active);
 
-  /// Convenience driver: generates traffic for the server's current round,
-  /// applies it (arrivals through admission control — rejects are counted,
-  /// not fatal — then VCR events), runs `server.Tick()` and returns its
-  /// metrics.
-  RoundMetrics DriveRound(CmServer& server);
+  /// Runs one round of `target`, a `CmServer` or a `ClusterServer`: draws
+  /// the round's traffic over `StreamView(target)`, starts each arrival
+  /// through the target's admission and hands the result to `on_arrival`,
+  /// applies the pauses, then the resumes, then the seeks, and ticks. A
+  /// non-OK status from `on_arrival` abandons the round before the tick.
+  template <typename Target, typename OnArrival>
+  StatusOr<decltype(std::declval<Target&>().Tick())> Drive(
+      Target& target, OnArrival on_arrival) {
+    const RoundTraffic traffic = NextRound(target.round(), StreamView(target));
+    for (const ObjectId object : traffic.arrivals) {
+      SCADDAR_RETURN_IF_ERROR(on_arrival(target.StartStream(object)));
+    }
+    for (const int64_t id : traffic.pauses) {
+      SCADDAR_CHECK(target.PauseStream(id).ok());
+    }
+    for (const int64_t id : traffic.resumes) {
+      SCADDAR_CHECK(target.ResumeStream(id).ok());
+    }
+    for (const SeekEvent& seek : traffic.seeks) {
+      SCADDAR_CHECK(target.SeekStream(seek.stream_id, seek.block).ok());
+    }
+    return target.Tick();
+  }
 
-  /// Arrivals rejected by admission control across all `DriveRound` calls.
+  /// `Drive` where no refusal is fatal: every arrival the target refuses
+  /// counts in `rejected_arrivals()`. Returns the tick's metrics.
+  template <typename Target>
+  auto DriveRound(Target& target) {
+    return Drive(target, [this](const StatusOr<int64_t>& id) {
+             rejected_arrivals_ += id.ok() ? 0 : 1;
+             return OkStatus();
+           }).value();
+  }
+
+  /// Arrivals refused across all `DriveRound` calls.
   int64_t rejected_arrivals() const { return rejected_arrivals_; }
-
-  /// Counts a rejected arrival on behalf of an external driver (the
-  /// cluster's `DriveRound` lives above this layer and applies arrivals
-  /// itself).
-  void RecordRejectedArrival() { ++rejected_arrivals_; }
-
-  const TrafficConfig& config() const { return config_; }
 
   /// The arrival mean after diurnal modulation at `round` (flash-crowd
   /// boosts are separate, deterministic adds). Exposed for tests.

@@ -1,10 +1,6 @@
-#include <set>
-
 #include <gtest/gtest.h>
 
 #include "server/admission.h"
-#include "server/workload.h"
-#include "stats/accumulator.h"
 
 namespace scaddar {
 namespace {
@@ -45,59 +41,6 @@ TEST(AdmissionTest, HighRateStreamsConsumeMoreBudget) {
 TEST(AdmissionDeathTest, InvalidCapAborts) {
   EXPECT_DEATH(AdmissionController(0.0), "SCADDAR_CHECK");
   EXPECT_DEATH(AdmissionController(1.5), "SCADDAR_CHECK");
-}
-
-TEST(WorkloadTest, DeterministicGivenSeed) {
-  WorkloadGenerator a(7, 3.0, 0.729);
-  WorkloadGenerator b(7, 3.0, 0.729);
-  a.SetObjects({10, 20, 30});
-  b.SetObjects({10, 20, 30});
-  for (int round = 0; round < 50; ++round) {
-    EXPECT_EQ(a.NextArrivals(), b.NextArrivals());
-  }
-}
-
-TEST(WorkloadTest, ArrivalRateMatchesPoissonMean) {
-  WorkloadGenerator generator(11, 2.5, 0.0);
-  generator.SetObjects({1, 2, 3, 4});
-  Accumulator acc;
-  for (int round = 0; round < 20000; ++round) {
-    acc.Add(static_cast<double>(generator.NextArrivals().size()));
-  }
-  EXPECT_NEAR(acc.mean(), 2.5, 0.05);
-}
-
-TEST(WorkloadTest, OnlyRegisteredObjectsRequested) {
-  WorkloadGenerator generator(13, 5.0, 1.0);
-  generator.SetObjects({100, 200, 300});
-  const std::set<ObjectId> valid = {100, 200, 300};
-  for (int round = 0; round < 200; ++round) {
-    for (const ObjectId id : generator.NextArrivals()) {
-      EXPECT_TRUE(valid.contains(id));
-    }
-  }
-}
-
-TEST(WorkloadTest, ZipfSkewsTowardFirstObject) {
-  WorkloadGenerator generator(17, 10.0, 1.2);
-  generator.SetObjects({1, 2, 3, 4, 5, 6, 7, 8, 9, 10});
-  int64_t first = 0;
-  int64_t last = 0;
-  for (int round = 0; round < 5000; ++round) {
-    for (const ObjectId id : generator.NextArrivals()) {
-      first += id == 1 ? 1 : 0;
-      last += id == 10 ? 1 : 0;
-    }
-  }
-  EXPECT_GT(first, 4 * last);
-}
-
-TEST(WorkloadTest, ZeroArrivalRateProducesNothing) {
-  WorkloadGenerator generator(19, 0.0, 0.5);
-  generator.SetObjects({1});
-  for (int round = 0; round < 100; ++round) {
-    EXPECT_TRUE(generator.NextArrivals().empty());
-  }
 }
 
 }  // namespace

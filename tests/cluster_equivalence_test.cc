@@ -11,7 +11,6 @@
 #include <string>
 #include <vector>
 
-#include "cluster/cluster_scenario.h"
 #include "cluster/cluster_server.h"
 #include "server/scenario.h"
 #include "server/server.h"
@@ -109,7 +108,7 @@ TEST(ClusterEquivalenceTest, OneShardClusterIsByteIdenticalToBareServer) {
     }
     const RoundMetrics bare_metrics = bare_traffic.DriveRound(*bare);
     const ClusterRoundMetrics cluster_metrics =
-        cluster->DriveRound(cluster_traffic);
+        cluster_traffic.DriveRound(*cluster);
     ExpectSameMetrics(bare_metrics, cluster_metrics);
   }
 
@@ -172,7 +171,7 @@ TEST(ClusterEquivalenceTest, DslRunsIdenticallyThroughBothInterpreters) {
   auto cluster = ClusterServer::Create(cluster_config).value();
 
   const auto bare_result = RunScenario(*bare, bare_script);
-  const auto cluster_result = RunClusterScenario(*cluster, cluster_script);
+  const auto cluster_result = RunScenario(*cluster, cluster_script);
   ASSERT_TRUE(bare_result.ok()) << bare_result.status().ToString();
   ASSERT_TRUE(cluster_result.ok()) << cluster_result.status().ToString();
 
@@ -216,7 +215,7 @@ TEST(ClusterEquivalenceTest, ScaleUpAndDownUnderTrafficConservesSessions) {
     if (round == 90) {
       ASSERT_TRUE(cluster->RemoveServerShard(added_member).ok());
     }
-    cluster->DriveRound(traffic);
+    traffic.DriveRound(*cluster);
   }
   int64_t guard = 0;
   while (!cluster->MigrationIdle()) {

@@ -10,7 +10,7 @@
 #include "random/distributions.h"
 #include "random/sequence.h"
 #include "server/server.h"
-#include "server/workload.h"
+#include "server/workload/traffic_engine.h"
 #include "stats/load_metrics.h"
 #include "stats/movement.h"
 
@@ -107,12 +107,14 @@ TEST(ServerIntegrationTest, WorkloadDrivenScalingStaysConsistent) {
   for (ObjectId id = 1; id <= 5; ++id) {
     ASSERT_TRUE(server->AddObject(id, 300).ok());
   }
-  WorkloadGenerator workload(31, 0.4, 0.729);
-  workload.SetObjects({1, 2, 3, 4, 5});
+  TrafficEngine traffic(
+      {.seed = 31, .arrivals_per_round = 0.4, .zipf_theta = 0.729});
+  traffic.SetObjects({1, 2, 3, 4, 5});
 
   int64_t started = 0;
   for (int round = 0; round < 600; ++round) {
-    for (const ObjectId id : workload.NextArrivals()) {
+    for (const ObjectId id :
+         traffic.NextRound(server->round(), server->streams()).arrivals) {
       if (server->StartStream(id).ok()) {
         ++started;
       }

@@ -3,17 +3,41 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <string>
+#include <string_view>
 
+#include "cluster/cluster_server.h"
 #include "storage/block_io.h"
 
 namespace scaddar {
 namespace {
 
-std::unique_ptr<CmServer> MakeServer() {
+ServerConfig SmallConfig() {
   ServerConfig config;
   config.initial_disks = 4;
   config.master_seed = 555;
-  return std::move(CmServer::Create(config)).value();
+  return config;
+}
+
+std::unique_ptr<CmServer> MakeServer() {
+  return std::move(CmServer::Create(SmallConfig())).value();
+}
+
+std::unique_ptr<ClusterServer> MakeCluster(int shards) {
+  ClusterConfig config;
+  config.shard = SmallConfig();
+  config.initial_shards = shards;
+  return std::move(ClusterServer::Create(config)).value();
+}
+
+/// The script failed with InvalidArgument and a message starting `prefix`
+/// ("line N: ...").
+void ExpectLineError(const StatusOr<ScenarioResult>& result,
+                     std::string_view prefix) {
+  ASSERT_FALSE(result.ok()) << "expected " << prefix;
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_TRUE(result.status().message().starts_with(prefix))
+      << result.status().message() << " does not start with " << prefix;
 }
 
 TEST(ScenarioTest, EndToEndScript) {
@@ -57,6 +81,84 @@ bogus command
 )");
   ASSERT_FALSE(result.ok());
   EXPECT_NE(result.status().message().find("line 3"), std::string::npos);
+
+  // Malformed arguments name their line too, on both targets.
+  ExpectLineError(RunScenario(*MakeServer(), "addobject 1 10\n"
+                                             "addobject one 10\n"),
+                  "line 2: malformed integer");
+  ExpectLineError(RunScenario(*MakeServer(), "governor 12 abc\n"),
+                  "line 1: malformed number");
+  ExpectLineError(RunScenario(*MakeServer(), "\nscale remove 1,,2\n"),
+                  "line 2: malformed integer");
+  ExpectLineError(RunScenario(*MakeServer(), "checkpoint x\n"),
+                  "line 1: malformed integer");
+  ExpectLineError(RunScenario(*MakeServer(), "traffic zipf steep\n"),
+                  "line 1: malformed number");
+  ExpectLineError(RunScenario(*MakeCluster(1), "addobject one 10\n"),
+                  "line 1: malformed integer");
+  ExpectLineError(RunScenario(*MakeCluster(1), "addobject 1 10\n"
+                                               "scaledisks 0 add x\n"),
+                  "line 2: malformed integer");
+  ExpectLineError(RunScenario(*MakeCluster(1), "seek 0 x\n"),
+                  "line 1: malformed integer");
+}
+
+TEST(ScenarioTest, CommandsATargetLacksFailOnTheirLine) {
+  for (const std::string command :
+       {"scale add 1", "scale remove 0", "rebase", "backend mem", "crash",
+        "checkpoint 5", "killrestart"}) {
+    auto cluster = MakeCluster(1);
+    ExpectLineError(
+        RunScenario(*cluster,
+                    "addobject 1 10\n" + command + "\naddobject 2 10\n"),
+        "line 2: " + command.substr(0, command.find(' ')) +
+            " is not available on a cluster");
+    EXPECT_EQ(cluster->num_objects(), 1) << command;
+  }
+  for (const std::string command :
+       {"addshard", "removeshard 0", "scaledisks 0 add 1",
+        "scaledisks 0 remove 0"}) {
+    auto server = MakeServer();
+    ExpectLineError(
+        RunScenario(*server,
+                    "addobject 1 10\n" + command + "\naddobject 2 10\n"),
+        "line 2: " + command.substr(0, command.find(' ')) +
+            " is not available on a bare server");
+    EXPECT_FALSE(server->catalog().Contains(2)) << command;
+  }
+}
+
+TEST(ScenarioTest, ClusterDiskScalingAndUnknownShards) {
+  auto cluster = MakeCluster(2);
+  const StatusOr<ScenarioResult> result = RunScenario(*cluster, R"(
+addobject 1 200
+addobject 2 200
+addobject 3 200
+addobject 4 200
+stream 1
+scaledisks 1 add 2
+drain
+scaledisks 1 remove 0,3
+tick 5
+drain
+verify
+)");
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_EQ(cluster->shard(0)->disks().num_live(), 4);
+  EXPECT_EQ(cluster->shard(1)->disks().num_live(), 4);
+  EXPECT_EQ(cluster->shard(1)->policy().current_disks(), 4);
+  EXPECT_GT(result->migrated, 0);
+
+  // Unknown members fail their line and change nothing.
+  ExpectLineError(RunScenario(*cluster, "removeshard 7\n"), "line 1: ");
+  ExpectLineError(RunScenario(*cluster, "scaledisks 7 add 1\n"), "line 1: ");
+  ExpectLineError(RunScenario(*cluster, "scaledisks 7 remove 0\n"),
+                  "line 1: ");
+  // A member id that wraps to a small int must not name another shard.
+  ExpectLineError(RunScenario(*cluster, "removeshard 4294967296\n"),
+                  "line 1: shard member out of range");
+  EXPECT_EQ(cluster->num_shards(), 2);
+  EXPECT_TRUE(cluster->MigrationIdle());
 }
 
 TEST(ScenarioTest, FailingCommandStopsExecution) {

@@ -8,11 +8,13 @@
 #include <cmath>
 #include <map>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "server/scenario.h"
 #include "server/server.h"
 #include "server/workload/traffic_engine.h"
+#include "stats/accumulator.h"
 
 namespace scaddar {
 namespace {
@@ -92,6 +94,18 @@ TEST(TrafficEngineTest, ZipfSkewsTowardLowRanks) {
   }
   // Rank 0 (object 1) must dominate the tail object decisively.
   EXPECT_GT(counts[1], 3 * counts[20]);
+
+  // However steep the skew, only registered objects are requested (ids
+  // that are not ranks, so an index/id mix-up would show).
+  TrafficEngine steep({.seed = 13, .arrivals_per_round = 5.0,
+                       .zipf_theta = 1.0});
+  steep.SetObjects({100, 200, 300});
+  for (int64_t round = 0; round < 200; ++round) {
+    for (const ObjectId object : steep.NextRound(round, none).arrivals) {
+      EXPECT_TRUE(object == 100 || object == 200 || object == 300)
+          << "round " << round << " requested " << object;
+    }
+  }
 }
 
 TEST(TrafficEngineTest, DiurnalCurveModulatesArrivalMean) {
@@ -105,6 +119,19 @@ TEST(TrafficEngineTest, DiurnalCurveModulatesArrivalMean) {
   EXPECT_NEAR(engine.ModulatedArrivalMean(25), 15.0, 1e-9);
   EXPECT_NEAR(engine.ModulatedArrivalMean(75), 5.0, 1e-9);
   EXPECT_NEAR(engine.ModulatedArrivalMean(0), 10.0, 1e-9);
+
+  // Without the curve, the sampled Poisson arrivals average the configured
+  // mean.
+  TrafficEngine flat({.seed = 11, .arrivals_per_round = 2.5,
+                      .zipf_theta = 0.0});
+  flat.SetObjects({1, 2, 3, 4});
+  const std::vector<Stream> none;
+  Accumulator arrivals;
+  for (int64_t round = 0; round < 20000; ++round) {
+    arrivals.Add(
+        static_cast<double>(flat.NextRound(round, none).arrivals.size()));
+  }
+  EXPECT_NEAR(arrivals.mean(), 2.5, 0.05);
 }
 
 TEST(TrafficEngineTest, FlashCrowdFiresOnScheduleAtItsRank) {
@@ -115,7 +142,8 @@ TEST(TrafficEngineTest, FlashCrowdFiresOnScheduleAtItsRank) {
   TrafficEngine engine(config);
   engine.SetObjects({5, 6, 7});
   const std::vector<Stream> none;
-  for (int64_t round = 0; round < 20; ++round) {
+  // A zero arrival rate draws nothing outside the crowd, round after round.
+  for (int64_t round = 0; round < 100; ++round) {
     const RoundTraffic traffic = engine.NextRound(round, none);
     if (round >= 10 && round < 13) {
       ASSERT_EQ(traffic.arrivals.size(), 7u) << "round " << round;
@@ -190,6 +218,20 @@ TEST(TrafficEngineTest, ScenarioRejectsMalformedTrafficCommands) {
   EXPECT_FALSE(RunScenario(*server, "traffic zipf not-a-number\n").ok());
   EXPECT_FALSE(RunScenario(*server, "ticktraffic 5\n").ok())
       << "ticktraffic with an empty catalog must fail";
+  // Out-of-range settings fail their own line; none reaches the engine.
+  for (const char* setting :
+       {"traffic arrivals -1", "traffic arrivals nan", "traffic arrivals inf",
+        "traffic zipf -0.5", "traffic diurnal 1.5 100",
+        "traffic diurnal 0.5 0", "traffic flash 10 5 0 -3",
+        "traffic vcr 2 0 0", "traffic vcr 0 0 nan"}) {
+    const auto result = RunScenario(
+        *server,
+        "addobject 9 50\n" + std::string(setting) + "\nticktraffic 5\n");
+    ASSERT_FALSE(result.ok()) << setting;
+    EXPECT_TRUE(result.status().message().starts_with("line 2: traffic"))
+        << setting << ": " << result.status().message();
+    ASSERT_TRUE(server->RemoveObject(9).ok());
+  }
 }
 
 }  // namespace
