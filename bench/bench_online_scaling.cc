@@ -17,12 +17,9 @@ struct Outcome {
   int64_t migration_rounds = -1;  // -1: did not finish in the horizon.
   int64_t served = 0;
   int64_t hiccups = 0;
-  int64_t moved = 0;
-  double wall_seconds = 0;
 };
 
-Outcome RunScenario(double utilization_cap, int64_t extra_budget,
-                    ServingPath path = ServingPath::kBatchCursor) {
+Outcome RunScenario(double utilization_cap, int64_t extra_budget) {
   ServerConfig config;
   config.initial_disks = 8;
   config.disk_spec = {.capacity_blocks = 500'000,
@@ -30,7 +27,6 @@ Outcome RunScenario(double utilization_cap, int64_t extra_budget,
   config.master_seed = 0xbeefull;
   config.admission_utilization_cap = utilization_cap;
   config.migration_extra_budget = extra_budget;
-  config.serving_path = path;
   auto server = std::move(CmServer::Create(config)).value();
   for (ObjectId id = 1; id <= 10; ++id) {
     SCADDAR_CHECK(server->AddObject(id, 2000).ok());
@@ -52,59 +48,19 @@ Outcome RunScenario(double utilization_cap, int64_t extra_budget,
   SCADDAR_CHECK(server->ScaleAdd(2).ok());
   Outcome outcome;
   constexpr int kHorizon = 4000;
-  int round = 0;
-  const bench::RoundTiming timing = bench::MeasureRounds(
-      /*warmup_rounds=*/0, kHorizon,
-      [&] {
-        const RoundMetrics metrics = server->Tick();
-        // Keep the stream population topped up (VoD arrivals continue).
-        while (server->StartStream(1 + round % 10).ok()) {
-        }
-        ++round;
-        return metrics;
-      },
-      [&](const RoundMetrics& metrics) {
-        outcome.served += metrics.served;
-        outcome.hiccups += metrics.hiccups;
-        if (metrics.pending_migration == 0 && outcome.migration_rounds < 0) {
-          outcome.migration_rounds = round;
-        }
-      });
-  outcome.wall_seconds = timing.total_seconds;
-  outcome.moved = server->migration().total_moved();
-  return outcome;
-}
-
-/// Batch tier: the same scaling scenario under each serving-path
-/// implementation. Served/hiccup counts must be identical (the paths are
-/// equivalent); wall time is where they differ.
-void RunServingTiers() {
-  bench::PrintRule();
-  std::printf("%-14s %-12s %-12s %-12s %-12s\n", "serving-path", "served",
-              "hiccups", "wall-s", "speedup");
-  const Outcome oracle =
-      RunScenario(0.7, 0, ServingPath::kStoreScalar);
-  for (const auto& [name, path] :
-       std::initializer_list<std::pair<const char*, ServingPath>>{
-           {"store-scalar", ServingPath::kStoreScalar},
-           {"batch-cursor", ServingPath::kBatchCursor}}) {
-    const Outcome outcome =
-        path == ServingPath::kStoreScalar ? oracle
-                                          : RunScenario(0.7, 0, path);
-    SCADDAR_CHECK(outcome.served == oracle.served &&
-                  outcome.hiccups == oracle.hiccups);
-    std::printf("%-14s %-12lld %-12lld %-12.3f %-12.2f\n", name,
-                static_cast<long long>(outcome.served),
-                static_cast<long long>(outcome.hiccups),
-                outcome.wall_seconds,
-                outcome.wall_seconds > 0
-                    ? oracle.wall_seconds / outcome.wall_seconds
-                    : 0.0);
+  for (int round = 0; round < kHorizon;) {
+    const RoundMetrics metrics = server->Tick();
+    // Keep the stream population topped up (VoD arrivals continue).
+    while (server->StartStream(1 + round % 10).ok()) {
+    }
+    ++round;
+    outcome.served += metrics.served;
+    outcome.hiccups += metrics.hiccups;
+    if (metrics.pending_migration == 0 && outcome.migration_rounds < 0) {
+      outcome.migration_rounds = round;
+    }
   }
-  std::printf(
-      "Identical served/hiccup counts by construction (checked); the\n"
-      "batched cursor path buys its speedup without changing a single\n"
-      "scheduling decision.\n");
+  return outcome;
 }
 
 void Run() {
@@ -135,7 +91,6 @@ void Run() {
       "tail) — compare rows with equal caps to see that the background\n"
       "migration itself adds virtually no hiccups: the server never goes\n"
       "down for reorganization.\n");
-  RunServingTiers();
 }
 
 }  // namespace

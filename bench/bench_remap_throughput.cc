@@ -6,7 +6,7 @@
 // Three tiers are measured (docs/batch_engine.md explains how to read
 // them):
 //  - *Mapper variants: the scalar reference — one Mapper replay per block
-//    per epoch (the pre-batch-engine planner);
+//    per epoch (the pre-batch-engine planner, tests/plan_oracle.h);
 //  - default variants: the step-major CompiledLog batch kernels on one
 //    thread;
 //  - *Parallel variants: the batch kernels sharded across a ThreadPool
@@ -29,6 +29,7 @@
 #include "core/compiled_log.h"
 #include "core/redistribution.h"
 #include "random/sequence.h"
+#include "tests/plan_oracle.h"
 #include "util/simd.h"
 #include "util/thread_pool.h"
 

@@ -2,7 +2,8 @@
 // round throughput (requests/s) and p50/p99 round latency for the batched
 // cursor path vs. the scalar per-block Locate path, at op-log depths
 // 0 / 8 / 32. This isolates what the batch engine buys on the *request*
-// path: per-block chain replays vs. windowed batch prefetch.
+// path: per-block chain replays vs. windowed batch prefetch. The scalar and
+// store rows run the per-block rounds of tests/serving_oracle.h.
 //
 // Usage: bench_serving [--smoke]
 //   --smoke   tiny sizes, no BENCH_serving.json (CI wiring check only).
@@ -18,6 +19,7 @@
 #include "server/migration.h"
 #include "server/scheduler.h"
 #include "storage/block_store.h"
+#include "tests/serving_oracle.h"
 
 namespace scaddar {
 namespace {
@@ -122,13 +124,15 @@ PathResult MeasureBatched(int64_t ops, const Sizes& sizes) {
 
 PathResult MeasureScalar(int64_t ops, const Sizes& sizes) {
   return MeasureBest(ops, sizes, [](Fixture& f) {
-    return f.scheduler.RunScalarLocate(f.streams, f.policy, f.disks, nullptr);
+    return ServeByScalarLocate(f.streams, f.policy, f.disks.BandwidthBudgets())
+        .service;
   });
 }
 
 PathResult MeasureStore(int64_t ops, const Sizes& sizes) {
   return MeasureBest(ops, sizes, [](Fixture& f) {
-    return f.scheduler.Run(f.streams, f.store, f.disks, nullptr);
+    return ServeFromStore(f.streams, f.store, f.disks.BandwidthBudgets())
+        .service;
   });
 }
 

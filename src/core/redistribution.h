@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/mapper.h"
 #include "core/op_log.h"
 #include "core/types.h"
 #include "stats/movement.h"
@@ -112,16 +111,6 @@ MovePlan PlanFullRedistribution(const OpLog& from_log,
                                 const OpLog& to_log,
                                 const std::vector<ObjectBlocksView>& to_x0,
                                 const ParallelPlanOptions& options = {});
-
-/// Reference implementations: one `Mapper` replay per block per epoch, no
-/// batching, no threads. Retained as the equivalence oracle for the batch
-/// planners (`batch_equivalence_test`) and as the baseline that
-/// `bench_remap_throughput` measures the step-major kernels against.
-MovePlan PlanOperationScalar(const OpLog& log, Epoch j,
-                             const std::vector<ObjectBlocksView>& objects);
-MovePlan PlanFullRedistributionScalar(
-    const OpLog& from_log, const std::vector<ObjectBlocksView>& from_x0,
-    const OpLog& to_log, const std::vector<ObjectBlocksView>& to_x0);
 
 }  // namespace scaddar
 

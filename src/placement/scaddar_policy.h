@@ -43,8 +43,8 @@ class ScaddarPolicy final : public PlacementPolicy {
                   std::span<PhysicalDiskId> out) const override;
 
   /// Rebuilds the compiled-log cache if stale; afterwards concurrent batch
-  /// lookups only read it (sharded reconciliation calls this before fanning
-  /// out across the thread pool).
+  /// lookups only read it (the migration executor calls this before its
+  /// batch passes).
   void PrepareForBatch() const override { compiled(); }
 
   /// Logical slot variant (exposed for tests and the Figure 1 walkthrough).

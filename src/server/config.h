@@ -9,15 +9,6 @@
 
 namespace scaddar {
 
-/// How the round scheduler resolves each stream request to a disk.
-enum class ServingPath {
-  /// Production path: per-stream `LocationCursor` prefetch windows filled
-  /// by the batch engine and invalidated by revision compares.
-  kBatchCursor,
-  /// Original per-block store hash lookups (the materialized-truth oracle).
-  kStoreScalar,
-};
-
 /// Configuration of the simulated continuous media server. The simulation
 /// is round-based: one round is the playback time of one block, each active
 /// stream consumes one block per round, and each disk retrieves
@@ -51,18 +42,11 @@ struct ServerConfig {
   /// round *in addition to* leftover service bandwidth (0 = only leftover).
   int64_t migration_extra_budget = 0;
 
-  /// Serving-path implementation the scheduler uses each Tick.
-  ServingPath serving_path = ServingPath::kBatchCursor;
-
   /// First stream id this server hands out (ids count up from here). The
   /// cluster layer gives each server shard a disjoint id range so stream
   /// ids are cluster-unique and carry their shard in the high bits; a bare
   /// server keeps the default 0.
   int64_t first_stream_id = 0;
-
-  /// Worker threads for reconciliation scans after scaling operations
-  /// (1 = serial; the queue is byte-identical for any value).
-  int reconcile_threads = 1;
 
   /// Run every migration transfer through the crash-consistent write-ahead
   /// move journal (intent -> copy -> commit). Off by default: the journal
@@ -99,13 +83,6 @@ struct ServerConfig {
   /// due that round (0 = L1 only). Should be a multiple of
   /// `checkpoint_every` to align with the L1 cadence.
   int64_t checkpoint_level2_every = 0;
-
-  /// L2 redundancy scheme: "partner" (two full copies) or "xor"
-  /// (N-1 data fragments + parity across all snapshot locations).
-  std::string checkpoint_redundancy = "partner";
-
-  /// Independent snapshot locations the manager spreads sets across.
-  int64_t checkpoint_locations = 4;
 
   // --- Adaptive self-triggered reorganization (src/server/reorg_driver).
   // The driver watches the Section 4.3 ε budget before every scaling op

@@ -10,7 +10,6 @@
 #include "faults/injector.h"
 #include "storage/block_io.h"
 #include "storage/move_journal.h"
-#include "util/thread_pool.h"
 
 namespace scaddar {
 
@@ -78,112 +77,23 @@ void MigrationExecutor::EnqueuePlan(const MovePlan& plan) {
   }
 }
 
-namespace {
-
-/// One object's slice of the flattened (object, block) scan space.
-struct ScanEntry {
-  ObjectId object = 0;
-  int64_t blocks = 0;
-  int64_t offset = 0;  // Flattened index of this object's block 0.
-};
-
-/// Appends every block in flattened range [lo, hi) whose store row disagrees
-/// with the batch AF() to `out`. Read-only over store/policy, so shards can
-/// run it concurrently; scanning contiguous flattened ranges in order keeps
-/// the merged result identical to a single [0, total) scan.
-void ScanRange(const std::vector<ScanEntry>& entries, int64_t lo, int64_t hi,
-               const BlockStore& store, const PlacementPolicy& policy,
-               std::vector<BlockRef>& out) {
-  // First entry overlapping `lo`.
-  auto it = std::upper_bound(
-      entries.begin(), entries.end(), lo,
-      [](int64_t v, const ScanEntry& e) { return v < e.offset; });
-  SCADDAR_CHECK(it != entries.begin());
-  --it;
+void MigrationExecutor::EnqueueReconciliation(const BlockStore& store,
+                                              const PlacementPolicy& policy) {
+  policy.PrepareForBatch();
   std::vector<PhysicalDiskId> targets;
-  for (; it != entries.end() && it->offset < hi; ++it) {
-    const BlockIndex begin =
-        static_cast<BlockIndex>(std::max<int64_t>(lo - it->offset, 0));
-    const BlockIndex end =
-        static_cast<BlockIndex>(std::min<int64_t>(hi - it->offset, it->blocks));
-    if (begin >= end) {
+  for (const auto& [id, x0] : policy.objects_view()) {
+    const auto blocks = static_cast<BlockIndex>(x0.size());
+    if (blocks == 0) {
       continue;
     }
-    targets.resize(static_cast<size_t>(end - begin));
-    policy.LocateRange(it->object, begin, end,
-                       std::span<PhysicalDiskId>(targets));
-    const StatusOr<std::span<const PhysicalDiskId>> row =
-        store.LocationsOf(it->object);
+    targets.resize(static_cast<size_t>(blocks));
+    policy.LocateRange(id, 0, blocks, std::span<PhysicalDiskId>(targets));
+    const StatusOr<std::span<const PhysicalDiskId>> row = store.LocationsOf(id);
     SCADDAR_CHECK(row.ok());
-    for (BlockIndex i = begin; i < end; ++i) {
-      if ((*row)[static_cast<size_t>(i)] !=
-          targets[static_cast<size_t>(i - begin)]) {
-        out.push_back(BlockRef{it->object, i});
+    for (BlockIndex i = 0; i < blocks; ++i) {
+      if ((*row)[static_cast<size_t>(i)] != targets[static_cast<size_t>(i)]) {
+        Push(BlockRef{id, i});
       }
-    }
-  }
-}
-
-}  // namespace
-
-void MigrationExecutor::EnqueueReconciliation(
-    const BlockStore& store, const PlacementPolicy& policy,
-    const ParallelPlanOptions& options) {
-  std::vector<ScanEntry> entries;
-  entries.reserve(policy.objects_view().size());
-  int64_t total = 0;
-  for (const auto& [id, x0] : policy.objects_view()) {
-    entries.push_back(
-        ScanEntry{id, static_cast<int64_t>(x0.size()), total});
-    total += static_cast<int64_t>(x0.size());
-  }
-  if (total == 0) {
-    return;
-  }
-  policy.PrepareForBatch();
-
-  const int threads =
-      options.pool != nullptr ? options.pool->num_threads()
-                              : options.num_threads;
-  if (threads <= 1 || total < options.min_blocks_to_shard) {
-    std::vector<BlockRef> divergent;
-    ScanRange(entries, 0, total, store, policy, divergent);
-    for (const BlockRef ref : divergent) {
-      Push(ref);
-    }
-    return;
-  }
-
-  // Contiguous flattened shards, one per worker, merged in shard order —
-  // identical to the serial scan for any thread count (the PR-1 planner
-  // discipline).
-  const int64_t chunk = (total + threads - 1) / threads;
-  std::vector<std::vector<BlockRef>> shards(static_cast<size_t>(threads));
-  auto scan_shard = [&](int t) {
-    const int64_t lo = static_cast<int64_t>(t) * chunk;
-    const int64_t hi = std::min<int64_t>(lo + chunk, total);
-    if (lo < hi) {
-      ScanRange(entries, lo, hi, store, policy,
-                shards[static_cast<size_t>(t)]);
-    }
-  };
-  if (options.pool != nullptr) {
-    options.pool->ParallelFor(0, threads, [&](int64_t lo, int64_t hi) {
-      for (int64_t t = lo; t < hi; ++t) {
-        scan_shard(static_cast<int>(t));
-      }
-    });
-  } else {
-    ThreadPool transient(threads);
-    transient.ParallelFor(0, threads, [&](int64_t lo, int64_t hi) {
-      for (int64_t t = lo; t < hi; ++t) {
-        scan_shard(static_cast<int>(t));
-      }
-    });
-  }
-  for (const std::vector<BlockRef>& shard : shards) {
-    for (const BlockRef ref : shard) {
-      Push(ref);
     }
   }
 }

@@ -87,13 +87,10 @@ class MigrationExecutor {
 
   /// Queues every block whose materialized location diverges from
   /// `policy.Locate` — reconciliation after one or more scaling operations.
-  /// Targets come from the per-object batch AF(); with `options` requesting
-  /// threads the flattened (object, block) scan is cut into contiguous
-  /// shards compared concurrently and merged in shard order, so the queue
-  /// is byte-identical to the serial scan for any thread count.
+  /// One in-order pass over `policy.objects_view()`: targets come from the
+  /// per-object batch AF(), compared against the store row.
   void EnqueueReconciliation(const BlockStore& store,
-                             const PlacementPolicy& policy,
-                             const ParallelPlanOptions& options = {});
+                             const PlacementPolicy& policy);
 
   /// Spends leftover bandwidth. `budget` is indexed by physical id, as
   /// `DiskArray::BandwidthBudgets` builds it; a disk without a positive
@@ -121,8 +118,8 @@ class MigrationExecutor {
   /// bandwidth and stayed queued — retry in a later round is the backoff).
   int64_t transient_errors() const { return transient_errors_; }
 
-  /// The queue contents in order (test introspection for the sharding and
-  /// equivalence proofs).
+  /// The queue contents in order (test introspection for the equivalence
+  /// proofs).
   std::vector<BlockRef> QueueSnapshot() const;
 
  private:

@@ -379,13 +379,11 @@ Status Checkpoint(Run<CmServer>& run, const Tokens& t) {
   if (t.size() >= 3) {
     SCADDAR_ASSIGN_OR_RETURN(level2_every, ParseInt(t[2]));
   }
-  const ServerConfig& config = run.target.config();
   CheckpointOptions options;
-  options.num_locations = config.checkpoint_locations;
-  SCADDAR_ASSIGN_OR_RETURN(
-      options.redundancy,
-      ParseCheckpointRedundancy(t.size() == 4 ? t[3]
-                                              : config.checkpoint_redundancy));
+  if (t.size() == 4) {
+    SCADDAR_ASSIGN_OR_RETURN(options.redundancy,
+                             ParseCheckpointRedundancy(t[3]));
+  }
   run.checkpoint = std::make_unique<CheckpointManager>(options);
   return run.target.EnableCheckpoints(run.checkpoint.get(), every,
                                       level2_every);

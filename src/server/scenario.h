@@ -76,8 +76,10 @@ struct ScenarioResult {
 ///                                        run) and write an L1 set every
 ///                                        <every> rounds, upgraded to a
 ///                                        redundant L2 set every
-///                                        [level2-every] rounds;
-///                                        [redundancy] is partner|xor
+///                                        [level2-every] rounds over four
+///                                        snapshot locations;
+///                                        [redundancy] is partner (the
+///                                        default) or xor
 ///   killrestart                          [server] kill the process and
 ///                                        restart from the newest valid
 ///                                        checkpoint set (streams resume at

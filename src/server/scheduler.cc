@@ -21,49 +21,6 @@ int64_t& ServingBudget(std::vector<int64_t>& budget, PhysicalDiskId location) {
 
 }  // namespace
 
-RoundServiceResult RoundScheduler::Run(std::vector<Stream>& streams,
-                                       const BlockStore& store,
-                                       DiskArray& disks,
-                                       std::vector<int64_t>* leftover) const {
-  RoundServiceResult result;
-  std::vector<int64_t> budget = disks.BandwidthBudgets();
-  // Streams are served in id order (FIFO fairness); a disk whose budget is
-  // exhausted hiccups the remaining requests routed to it.
-  for (Stream& stream : streams) {
-    if (stream.finished() || stream.paused()) {
-      continue;
-    }
-    // A stream needs `rate()` consecutive blocks per round; the first
-    // shortfall is a hiccup and the stream stalls for the rest of the
-    // round (partial delivery of a multi-rate frame is useless).
-    for (int64_t r = 0; r < stream.rate() && !stream.finished(); ++r) {
-      ++result.requests;
-      const StatusOr<PhysicalDiskId> location =
-          store.LocationOf(stream.NextBlockRef());
-      SCADDAR_CHECK(location.ok());
-      int64_t& remaining = ServingBudget(budget, *location);
-      if (remaining > 0) {
-        --remaining;
-        if (io_ != nullptr) {
-          SCADDAR_CHECK(
-              io_->EnqueueServeRead(stream.NextBlockRef(), *location).ok());
-        }
-        stream.DeliverBlock();
-        disks.GetDisk(*location).value()->RecordServedRequests(1);
-        ++result.served;
-      } else {
-        stream.RecordHiccup();
-        ++result.hiccups;
-        break;
-      }
-    }
-  }
-  if (leftover != nullptr) {
-    *leftover = std::move(budget);
-  }
-  return result;
-}
-
 RoundServiceResult RoundScheduler::RunBatched(
     std::vector<Stream>& streams, const PlacementPolicy& policy,
     const MigrationExecutor& migration, const BlockStore& store,
@@ -104,42 +61,6 @@ RoundServiceResult RoundScheduler::RunBatched(
       disks.GetDisk(static_cast<PhysicalDiskId>(id))
           .value()
           ->RecordServedRequests(served_on[id]);
-    }
-  }
-  if (leftover != nullptr) {
-    *leftover = std::move(budget);
-  }
-  return result;
-}
-
-RoundServiceResult RoundScheduler::RunScalarLocate(
-    std::vector<Stream>& streams, const PlacementPolicy& policy,
-    DiskArray& disks, std::vector<int64_t>* leftover) const {
-  RoundServiceResult result;
-  std::vector<int64_t> budget = disks.BandwidthBudgets();
-  for (Stream& stream : streams) {
-    if (stream.finished() || stream.paused()) {
-      continue;
-    }
-    for (int64_t r = 0; r < stream.rate() && !stream.finished(); ++r) {
-      ++result.requests;
-      const PhysicalDiskId location =
-          policy.Locate(stream.object(), stream.next_block());
-      int64_t& remaining = ServingBudget(budget, location);
-      if (remaining > 0) {
-        --remaining;
-        if (io_ != nullptr) {
-          SCADDAR_CHECK(
-              io_->EnqueueServeRead(stream.NextBlockRef(), location).ok());
-        }
-        stream.DeliverBlock();
-        disks.GetDisk(location).value()->RecordServedRequests(1);
-        ++result.served;
-      } else {
-        stream.RecordHiccup();
-        ++result.hiccups;
-        break;
-      }
     }
   }
   if (leftover != nullptr) {

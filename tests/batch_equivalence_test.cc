@@ -12,6 +12,7 @@
 #include "core/compiled_log.h"
 #include "core/mapper.h"
 #include "core/redistribution.h"
+#include "plan_oracle.h"
 #include "random/distributions.h"
 #include "random/sequence.h"
 

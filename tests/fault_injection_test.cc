@@ -1,7 +1,7 @@
 // Deterministic fault-injection coverage: the schedule engine itself, the
 // write-ahead move journal, and the headline guarantee — a crash at ANY
 // phase boundary of ANY journaled move recovers to a placement byte-
-// identical to the uninterrupted run, on every serving path.
+// identical to the uninterrupted run.
 
 #include <gtest/gtest.h>
 
@@ -338,15 +338,14 @@ TEST(MoveJournalTest, StagedCopiesFailPolicyVerification) {
 // ---------------------------------------------------------------------------
 // The crash-point matrix: ~100 seeded schedules x {scale-up, scale-down,
 // failure-removal}, killed at every journal phase, restarted, and required
-// to land byte-identical to the uninterrupted twin — per serving path.
+// to land byte-identical to the uninterrupted twin.
 
 enum class MatrixOp { kScaleUp, kScaleDown, kFailureRemoval };
 
-std::unique_ptr<CmServer> MakeMatrixServer(ServingPath path, uint64_t seed) {
+std::unique_ptr<CmServer> MakeMatrixServer(uint64_t seed) {
   ServerConfig config;
   config.initial_disks = 5;
   config.master_seed = seed;
-  config.serving_path = path;
   config.journal_migration = true;
   auto server = std::move(CmServer::Create(config)).value();
   SCADDAR_CHECK(server->AddObject(1, 150).ok());
@@ -398,10 +397,7 @@ void DrainWithRestarts(CmServer& server) {
   }
 }
 
-class CrashMatrixTest : public ::testing::TestWithParam<ServingPath> {};
-
-TEST_P(CrashMatrixTest, EveryCrashPointRecoversToIdenticalPlacement) {
-  const ServingPath path = GetParam();
+TEST(CrashMatrixTest, EveryCrashPointRecoversToIdenticalPlacement) {
   constexpr uint64_t kSeeds[] = {0xc0a1, 0xc0a2, 0xc0a3, 0xc0a4,
                                  0xc0a5, 0xc0a6, 0xc0a7};
   constexpr MatrixOp kOps[] = {MatrixOp::kScaleUp, MatrixOp::kScaleDown,
@@ -410,14 +406,14 @@ TEST_P(CrashMatrixTest, EveryCrashPointRecoversToIdenticalPlacement) {
   for (const uint64_t seed : kSeeds) {
     for (const MatrixOp op : kOps) {
       // The uninterrupted twin defines the expected final placement.
-      auto twin = MakeMatrixServer(path, seed);
+      auto twin = MakeMatrixServer(seed);
       ApplyMatrixOp(*twin, op);
       DrainWithRestarts(*twin);
       const auto expected = Placement(*twin);
       const auto expected_counts = twin->store().per_disk_counts();
 
       for (int phase = 0; phase < kNumMovePhases; ++phase) {
-        auto server = MakeMatrixServer(path, seed);
+        auto server = MakeMatrixServer(seed);
         FaultSchedule schedule;
         schedule.Add(FaultEvent{
             .kind = FaultKind::kCrash,
@@ -446,10 +442,6 @@ TEST_P(CrashMatrixTest, EveryCrashPointRecoversToIdenticalPlacement) {
   // fire (the ordinal formula keeps most within the migration's length).
   EXPECT_GT(crashes_exercised, 50);
 }
-
-INSTANTIATE_TEST_SUITE_P(ServingPaths, CrashMatrixTest,
-                         ::testing::Values(ServingPath::kBatchCursor,
-                                           ServingPath::kStoreScalar));
 
 // ---------------------------------------------------------------------------
 // Move ordinals count the moves the executor attempts: entries the round's

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/mapper.h"
 #include "random/sequence.h"
 
 namespace scaddar {

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "placement/scaddar_policy.h"
+#include "server/migration.h"
+
 namespace scaddar {
 namespace {
 
@@ -10,17 +15,38 @@ DiskSpec Spec(int64_t bandwidth) {
                   .bandwidth_blocks_per_round = bandwidth};
 }
 
+/// One object over `n0` disks whose store row is AF(): with no scaling ops
+/// SCADDAR places block i on disk `x0[i] mod n0`, so the test picks every
+/// block's disk through its X0.
+struct Farm {
+  Farm(int64_t n0, int64_t bandwidth, const std::vector<uint64_t>& x0)
+      : policy(n0), disks(Spec(bandwidth)), store(&disks) {
+    SCADDAR_CHECK(policy.AddObject(1, x0).ok());
+    SCADDAR_CHECK(disks.SyncLiveSet(policy.log().physical_disks()).ok());
+    std::vector<PhysicalDiskId> row;
+    policy.LocateAllBlocks(1, row);
+    SCADDAR_CHECK(store.PlaceObject(1, row).ok());
+  }
+
+  RoundServiceResult Serve(std::vector<Stream>& streams,
+                           std::vector<int64_t>* leftover = nullptr) {
+    return scheduler.RunBatched(streams, policy, migration, store, disks,
+                                leftover);
+  }
+
+  ScaddarPolicy policy;
+  DiskArray disks;
+  BlockStore store;
+  MigrationExecutor migration;
+  RoundScheduler scheduler;
+};
+
 TEST(RoundSchedulerTest, ServesWithinBandwidth) {
-  DiskArray disks(Spec(2));
-  ASSERT_TRUE(disks.SyncLiveSet({0}).ok());
-  BlockStore store(&disks);
-  ASSERT_TRUE(store.PlaceObject(1, {0, 0, 0, 0}).ok());
+  Farm farm(1, 2, {0, 0, 0, 0});
   std::vector<Stream> streams;
   streams.emplace_back(0, 1, 4, 0);
   streams.emplace_back(1, 1, 4, 0);
-  RoundScheduler scheduler;
-  const RoundServiceResult result =
-      scheduler.Run(streams, store, disks, nullptr);
+  const RoundServiceResult result = farm.Serve(streams);
   EXPECT_EQ(result.requests, 2);
   EXPECT_EQ(result.served, 2);
   EXPECT_EQ(result.hiccups, 0);
@@ -29,17 +55,12 @@ TEST(RoundSchedulerTest, ServesWithinBandwidth) {
 }
 
 TEST(RoundSchedulerTest, OverloadCausesHiccups) {
-  DiskArray disks(Spec(1));
-  ASSERT_TRUE(disks.SyncLiveSet({0}).ok());
-  BlockStore store(&disks);
-  ASSERT_TRUE(store.PlaceObject(1, {0, 0}).ok());
+  Farm farm(1, 1, {0, 0});
   std::vector<Stream> streams;
   streams.emplace_back(0, 1, 2, 0);
   streams.emplace_back(1, 1, 2, 0);
   streams.emplace_back(2, 1, 2, 0);
-  RoundScheduler scheduler;
-  const RoundServiceResult result =
-      scheduler.Run(streams, store, disks, nullptr);
+  const RoundServiceResult result = farm.Serve(streams);
   EXPECT_EQ(result.requests, 3);
   EXPECT_EQ(result.served, 1);
   EXPECT_EQ(result.hiccups, 2);
@@ -51,48 +72,42 @@ TEST(RoundSchedulerTest, OverloadCausesHiccups) {
 }
 
 TEST(RoundSchedulerTest, LeftoverBandwidthReported) {
-  DiskArray disks(Spec(4));
-  ASSERT_TRUE(disks.SyncLiveSet({0, 1}).ok());
-  BlockStore store(&disks);
-  ASSERT_TRUE(store.PlaceObject(1, {0, 0}).ok());
+  Farm farm(2, 4, {0, 2});  // Both blocks on disk 0.
   std::vector<Stream> streams;
   streams.emplace_back(0, 1, 2, 0);
-  RoundScheduler scheduler;
   std::vector<int64_t> leftover;
-  scheduler.Run(streams, store, disks, &leftover);
+  farm.Serve(streams, &leftover);
   EXPECT_EQ(leftover[0], 3);  // One of four units spent on disk 0.
   EXPECT_EQ(leftover[1], 4);  // Disk 1 untouched.
 }
 
 TEST(RoundSchedulerTest, FinishedStreamsAreSkipped) {
-  DiskArray disks(Spec(4));
-  ASSERT_TRUE(disks.SyncLiveSet({0}).ok());
-  BlockStore store(&disks);
-  ASSERT_TRUE(store.PlaceObject(1, {0}).ok());
+  Farm farm(1, 4, {0});
   std::vector<Stream> streams;
   streams.emplace_back(0, 1, 1, 0);
-  RoundScheduler scheduler;
-  scheduler.Run(streams, store, disks, nullptr);
+  farm.Serve(streams);
   ASSERT_TRUE(streams[0].finished());
-  const RoundServiceResult result =
-      scheduler.Run(streams, store, disks, nullptr);
+  const RoundServiceResult result = farm.Serve(streams);
   EXPECT_EQ(result.requests, 0);
   EXPECT_EQ(result.served, 0);
 }
 
 TEST(RoundSchedulerTest, ReadsRouteToMaterializedLocation) {
-  // The block sits on disk 1 even if some placement would prefer disk 0:
-  // the scheduler must consult the store.
-  DiskArray disks(Spec(1));
-  ASSERT_TRUE(disks.SyncLiveSet({0, 1}).ok());
-  BlockStore store(&disks);
-  ASSERT_TRUE(store.PlaceObject(1, {1}).ok());
+  // AF() says disk 0, but the block still sits on disk 1 with its
+  // reconciliation move pending: the cursor must bypass its AF() window and
+  // read the store row, or it would serve a block the disk does not hold.
+  Farm farm(2, 1, {0});
+  ASSERT_EQ(farm.policy.Locate(1, 0), 0);
+  ASSERT_TRUE(farm.store.DropObject(1).ok());
+  ASSERT_TRUE(farm.store.PlaceObject(1, {1}).ok());
+  farm.migration.EnqueueReconciliation(farm.store, farm.policy);
+  ASSERT_EQ(farm.migration.pending_for(1), 1);
   std::vector<Stream> streams;
   streams.emplace_back(0, 1, 1, 0);
-  RoundScheduler scheduler;
-  scheduler.Run(streams, store, disks, nullptr);
-  EXPECT_EQ((*disks.GetDisk(1))->served_requests(), 1);
-  EXPECT_EQ((*disks.GetDisk(0))->served_requests(), 0);
+  const RoundServiceResult result = farm.Serve(streams);
+  EXPECT_EQ(result.served, 1);
+  EXPECT_EQ((*farm.disks.GetDisk(1))->served_requests(), 1);
+  EXPECT_EQ((*farm.disks.GetDisk(0))->served_requests(), 0);
 }
 
 TEST(StreamTest, LifecycleAndHiccups) {

@@ -2,13 +2,16 @@
 
 #include <algorithm>
 #include <memory>
+#include <ostream>
+#include <vector>
 
+#include "migration_oracle.h"
 #include "placement/scaddar_policy.h"
 #include "random/sequence.h"
-#include "migration_oracle.h"
 #include "server/migration.h"
 #include "server/server.h"
 #include "server/workload/traffic_engine.h"
+#include "serving_oracle.h"
 
 namespace scaddar {
 namespace {
@@ -145,30 +148,11 @@ TEST(ServingEquivalenceTest, RunRoundIdenticalAcrossRemove) {
   EXPECT_EQ(batched.migration.total_moved(), scalar.oracle.total_moved());
 }
 
-/// The sharded reconciliation scan queues a byte-identical block list for
-/// any thread count (the PR-1 planner determinism discipline).
-TEST(ServingEquivalenceTest, ReconciliationShardingByteIdentical) {
-  std::vector<std::vector<BlockRef>> queues;
-  for (const int threads : {1, 2, 8}) {
-    Fixture fx(4, kObjects);
-    fx.Apply(ScalingOp::Add(3).value());
-    ParallelPlanOptions options;
-    options.num_threads = threads;
-    options.min_blocks_to_shard = 1;  // Force sharding even at this size.
-    fx.migration.EnqueueReconciliation(fx.store, fx.policy, options);
-    queues.push_back(fx.migration.QueueSnapshot());
-  }
-  ASSERT_GT(queues[0].size(), 0u);
-  EXPECT_EQ(queues[0], queues[1]);
-  EXPECT_EQ(queues[0], queues[2]);
-}
-
-ServerConfig BaseConfig(ServingPath path) {
+ServerConfig BaseConfig() {
   ServerConfig config;
   config.initial_disks = 6;
   config.disk_spec = {.capacity_blocks = 100'000,
                       .bandwidth_blocks_per_round = 6};
-  config.serving_path = path;
   return config;
 }
 
@@ -178,46 +162,137 @@ std::unique_ptr<CmServer> MakeServer(const ServerConfig& config) {
   return std::move(server).value();
 }
 
-/// Full-server equivalence: a batched-cursor server and a store-oracle
-/// server fed the same script (streams + scaling ops mid-playback) report
-/// identical metrics every round.
-TEST(ServingEquivalenceTest, BatchedServerMatchesStoreOracleThroughScaling) {
-  auto batched = MakeServer(BaseConfig(ServingPath::kBatchCursor));
-  auto oracle = MakeServer(BaseConfig(ServingPath::kStoreScalar));
-  for (CmServer* server : {batched.get(), oracle.get()}) {
-    ASSERT_TRUE(server->AddObject(1, 400).ok());
-    ASSERT_TRUE(server->AddObject(2, 250).ok());
-    for (int s = 0; s < 6; ++s) {
-      ASSERT_TRUE(server->StartStream(1 + (s % 2)).ok());
-    }
-  }
-  for (int round = 0; round < 300; ++round) {
-    if (round == 20) {
-      ASSERT_TRUE(batched->ScaleAdd(2).ok());
-      ASSERT_TRUE(oracle->ScaleAdd(2).ok());
-    }
-    if (round == 60) {
-      ASSERT_TRUE(batched->ScaleRemove({3}).ok());
-      ASSERT_TRUE(oracle->ScaleRemove({3}).ok());
-    }
-    const RoundMetrics a = batched->Tick();
-    const RoundMetrics b = oracle->Tick();
-    ASSERT_EQ(a.requests, b.requests) << "round " << round;
-    ASSERT_EQ(a.served, b.served) << "round " << round;
-    ASSERT_EQ(a.hiccups, b.hiccups) << "round " << round;
-    ASSERT_EQ(a.migrated, b.migrated) << "round " << round;
-    ASSERT_EQ(a.pending_migration, b.pending_migration) << "round " << round;
-  }
-  EXPECT_EQ(batched->total_served(), oracle->total_served());
-  EXPECT_EQ(batched->total_hiccups(), oracle->total_hiccups());
-  EXPECT_GT(batched->total_served(), 0);
+/// One stream's serving outcome, for comparing a prediction with a round.
+struct StreamState {
+  int64_t id = 0;
+  BlockIndex next_block = 0;
+  int64_t hiccups = 0;
+
+  friend bool operator==(const StreamState&, const StreamState&) = default;
+};
+
+std::ostream& operator<<(std::ostream& out, const StreamState& state) {
+  return out << "{stream " << state.id << ", block " << state.next_block
+             << ", hiccups " << state.hiccups << "}";
 }
 
-/// VCR-churn twin: seeded Zipf arrivals with pause/resume/seek and a flash
-/// crowd while the array scales up and down and migration rounds interleave,
-/// raced against a store-oracle server fed the identical traffic trace.
-/// Identical per-round metrics prove the cursor windows never serve a block
-/// from a stale location, lose one, or serve one twice.
+/// Served-request counters of disks [0, n), 0 where no disk exists.
+std::vector<int64_t> ServedPerDisk(const DiskArray& disks, size_t n) {
+  std::vector<int64_t> served(n, 0);
+  for (size_t id = 0; id < n; ++id) {
+    const StatusOr<const SimDisk*> disk =
+        disks.GetDisk(static_cast<PhysicalDiskId>(id));
+    if (disk.ok()) {
+      served[id] = (*disk)->served_requests();
+    }
+  }
+  return served;
+}
+
+/// The per-round serving oracle around a production server. Each `Tick`
+/// first predicts the round with the store-lookup oracle
+/// (`tests/serving_oracle.h`) on a copy of the server's streams, against
+/// its store and its round budgets, then ticks the server and checks the
+/// prediction: the round's requests, served and hiccups, every surviving
+/// stream's position and hiccups, and every disk's served-request delta.
+/// Reads route to the materialized location in the oracle, so a cursor
+/// that serves a pending block from its AF() window fails here. The other
+/// members forward, so `TrafficEngine::Drive` can drive it like a server.
+class OracleCheckedServer {
+ public:
+  explicit OracleCheckedServer(CmServer& server) : server_(server) {}
+
+  int64_t round() const { return server_.round(); }
+  const CmServer& server() const { return server_; }
+  int64_t rounds_checked() const { return rounds_checked_; }
+  int64_t rounds_migrating() const { return rounds_migrating_; }
+
+  StatusOr<int64_t> StartStream(ObjectId object) {
+    return server_.StartStream(object);
+  }
+  Status PauseStream(int64_t id) { return server_.PauseStream(id); }
+  Status ResumeStream(int64_t id) { return server_.ResumeStream(id); }
+  Status SeekStream(int64_t id, BlockIndex block) {
+    return server_.SeekStream(id, block);
+  }
+
+  RoundMetrics Tick() {
+    const int64_t round = server_.round();
+    rounds_migrating_ += server_.migration().idle() ? 0 : 1;
+    std::vector<Stream> predicted = server_.streams();
+    const OracleRound oracle = ServeFromStore(
+        predicted, server_.store(), server_.disks().BandwidthBudgets());
+    const std::vector<int64_t> served_before =
+        ServedPerDisk(server_.disks(), oracle.served_on.size());
+
+    const RoundMetrics metrics = server_.Tick();
+
+    EXPECT_EQ(metrics.requests, oracle.service.requests) << "round " << round;
+    EXPECT_EQ(metrics.served, oracle.service.served) << "round " << round;
+    EXPECT_EQ(metrics.hiccups, oracle.service.hiccups) << "round " << round;
+    std::vector<StreamState> expected;
+    for (const Stream& stream : predicted) {
+      if (!stream.finished()) {
+        expected.push_back({stream.id(), stream.next_block(), stream.hiccups()});
+      }
+    }
+    std::vector<StreamState> actual;
+    for (const Stream& stream : server_.streams()) {
+      actual.push_back({stream.id(), stream.next_block(), stream.hiccups()});
+    }
+    EXPECT_EQ(actual, expected) << "round " << round;
+    const std::vector<int64_t> served_after =
+        ServedPerDisk(server_.disks(), oracle.served_on.size());
+    for (size_t id = 0; id < served_after.size(); ++id) {
+      EXPECT_EQ(served_after[id] - served_before[id], oracle.served_on[id])
+          << "round " << round << " disk " << id;
+    }
+    ++rounds_checked_;
+    return metrics;
+  }
+
+ private:
+  CmServer& server_;
+  int64_t rounds_checked_ = 0;
+  int64_t rounds_migrating_ = 0;
+};
+
+/// The active-stream view `TrafficEngine::Drive` rolls VCR events over.
+const std::vector<Stream>& StreamView(const OracleCheckedServer& target) {
+  return target.server().streams();
+}
+
+/// Every round of a server with streams playing through a scale-up and a
+/// scale-down matches the store-lookup oracle, migration rounds included.
+TEST(ServingEquivalenceTest, BatchedServerMatchesStoreOracleThroughScaling) {
+  auto server = MakeServer(BaseConfig());
+  ASSERT_TRUE(server->AddObject(1, 400).ok());
+  ASSERT_TRUE(server->AddObject(2, 250).ok());
+  for (int s = 0; s < 6; ++s) {
+    ASSERT_TRUE(server->StartStream(1 + (s % 2)).ok());
+  }
+  OracleCheckedServer checked(*server);
+  for (int round = 0; round < 300; ++round) {
+    if (round == 20) {
+      ASSERT_TRUE(server->ScaleAdd(2).ok());
+    }
+    if (round == 60) {
+      ASSERT_TRUE(server->ScaleRemove({3}).ok());
+    }
+    checked.Tick();
+    ASSERT_FALSE(::testing::Test::HasFailure()) << "round " << round;
+  }
+  EXPECT_EQ(checked.rounds_checked(), 300);
+  EXPECT_GT(checked.rounds_migrating(), 0);
+  EXPECT_GT(server->total_served(), 0);
+  EXPECT_TRUE(server->VerifyIntegrity().ok());
+}
+
+/// VCR churn: seeded Zipf arrivals with pause/resume/seek and a flash crowd
+/// while the array scales up and down and migration rounds interleave. The
+/// traffic engine drives the oracle-checked server, so every round proves
+/// the cursor windows never serve a block from a stale location, lose one,
+/// or serve one twice.
 TEST(ServingEquivalenceTest, StressConcurrentScaleUpMatchesOracle) {
   TrafficConfig traffic_config;
   traffic_config.seed = 0x57e55ull;
@@ -229,41 +304,27 @@ TEST(ServingEquivalenceTest, StressConcurrentScaleUpMatchesOracle) {
   traffic_config.flash_crowds.push_back(
       FlashCrowd{.start_round = 40, .duration = 10, .rank = 0, .boost = 3});
 
-  auto batched = MakeServer(BaseConfig(ServingPath::kBatchCursor));
-  auto oracle = MakeServer(BaseConfig(ServingPath::kStoreScalar));
-  for (CmServer* server : {batched.get(), oracle.get()}) {
-    for (ObjectId id = 1; id <= 8; ++id) {
-      ASSERT_TRUE(server->AddObject(id, 120 + 40 * id).ok());
-    }
+  auto server = MakeServer(BaseConfig());
+  for (ObjectId id = 1; id <= 8; ++id) {
+    ASSERT_TRUE(server->AddObject(id, 120 + 40 * id).ok());
   }
-  // Twin engines with the same seed fed identically evolving servers emit
-  // identical traces (the replayability contract doing double duty).
-  TrafficEngine batched_traffic(traffic_config);
-  TrafficEngine oracle_traffic(traffic_config);
-  batched_traffic.SetObjects(batched->catalog().object_ids());
-  oracle_traffic.SetObjects(oracle->catalog().object_ids());
+  TrafficEngine traffic(traffic_config);
+  traffic.SetObjects(server->catalog().object_ids());
+  OracleCheckedServer checked(*server);
 
   for (int round = 0; round < 160; ++round) {
     if (round == 30) {
-      ASSERT_TRUE(batched->ScaleAdd(3).ok());
-      ASSERT_TRUE(oracle->ScaleAdd(3).ok());
+      ASSERT_TRUE(server->ScaleAdd(3).ok());
     }
     if (round == 90) {
-      ASSERT_TRUE(batched->ScaleRemove({2}).ok());
-      ASSERT_TRUE(oracle->ScaleRemove({2}).ok());
+      ASSERT_TRUE(server->ScaleRemove({2}).ok());
     }
-    const RoundMetrics a = batched_traffic.DriveRound(*batched);
-    const RoundMetrics b = oracle_traffic.DriveRound(*oracle);
-    ASSERT_EQ(a.requests, b.requests) << "round " << round;
-    ASSERT_EQ(a.served, b.served) << "round " << round;
-    ASSERT_EQ(a.hiccups, b.hiccups) << "round " << round;
-    ASSERT_EQ(a.migrated, b.migrated) << "round " << round;
+    traffic.DriveRound(checked);
+    ASSERT_FALSE(::testing::Test::HasFailure()) << "round " << round;
   }
-  EXPECT_EQ(batched_traffic.rejected_arrivals(),
-            oracle_traffic.rejected_arrivals());
-  EXPECT_EQ(batched->total_served(), oracle->total_served());
-  EXPECT_EQ(batched->total_hiccups(), oracle->total_hiccups());
-  EXPECT_GT(batched->total_served(), 0);
+  EXPECT_EQ(checked.rounds_checked(), 160);
+  EXPECT_GT(checked.rounds_migrating(), 0);
+  EXPECT_GT(server->total_served(), 0);
 }
 
 /// Satellite: repeated X0 materialization is byte-identical, and the
@@ -283,7 +344,7 @@ TEST(ServingEquivalenceTest, MaterializeOnceByteIdentical) {
 /// Satellite: the active-stream refcount makes RemoveObject refuse exactly
 /// while streams play and allow removal the moment the last one ends.
 TEST(ServingEquivalenceTest, RemoveObjectRefcountTracksStreamLifecycle) {
-  auto server = MakeServer(BaseConfig(ServingPath::kBatchCursor));
+  auto server = MakeServer(BaseConfig());
   ASSERT_TRUE(server->AddObject(1, 30).ok());
   ASSERT_TRUE(server->AddObject(2, 500).ok());
   ASSERT_TRUE(server->StartStream(1).ok());

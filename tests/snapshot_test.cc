@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "recovery/snapshot.h"
 #include "server/server.h"
 
 namespace scaddar {
@@ -26,6 +27,13 @@ void DrainMigration(CmServer& server) {
   server.Tick();
 }
 
+/// Restores a fresh server from `server`'s encoded snapshot document.
+StatusOr<std::unique_ptr<CmServer>> RoundTrip(const CmServer& server,
+                                              const ServerConfig& config) {
+  return CmServer::FromSnapshotDocument(
+      config, EncodeServerSnapshot(server.CaptureState()));
+}
+
 TEST(SnapshotTest, RoundTripPreservesEveryBlockLocation) {
   auto server = Make(Config());
   ASSERT_TRUE(server->AddObject(1, 800).ok());
@@ -35,15 +43,14 @@ TEST(SnapshotTest, RoundTripPreservesEveryBlockLocation) {
   ASSERT_TRUE(server->ScaleRemove({3}).ok());
   DrainMigration(*server);
 
-  const StatusOr<std::string> snapshot = server->SaveSnapshot();
-  ASSERT_TRUE(snapshot.ok());
-  const auto restored = CmServer::Restore(Config(), *snapshot);
+  const auto restored = RoundTrip(*server, Config());
   ASSERT_TRUE(restored.ok()) << restored.status();
 
   EXPECT_EQ((*restored)->policy().current_disks(),
             server->policy().current_disks());
   EXPECT_EQ((*restored)->policy().log().Serialize(),
             server->policy().log().Serialize());
+  EXPECT_EQ((*restored)->policy().epoch_added(2), 1);
   for (const ObjectId id : {1, 2}) {
     const int64_t blocks = server->catalog().GetObject(id)->num_blocks;
     for (BlockIndex i = 0; i < blocks; ++i) {
@@ -52,6 +59,7 @@ TEST(SnapshotTest, RoundTripPreservesEveryBlockLocation) {
           << "object " << id << " block " << i;
     }
   }
+  EXPECT_TRUE((*restored)->migration().idle());
   EXPECT_TRUE((*restored)->VerifyIntegrity().ok());
   EXPECT_EQ((*restored)->store().total_blocks(),
             server->store().total_blocks());
@@ -64,79 +72,72 @@ TEST(SnapshotTest, PreservesSeedGenerations) {
   DrainMigration(*server);
   ASSERT_EQ(server->catalog().GetObject(1)->seed_generation, 1);
 
-  const auto restored =
-      CmServer::Restore(Config(), *server->SaveSnapshot());
-  ASSERT_TRUE(restored.ok());
+  const auto restored = RoundTrip(*server, Config());
+  ASSERT_TRUE(restored.ok()) << restored.status();
   EXPECT_EQ((*restored)->catalog().GetObject(1)->seed_generation, 1);
   for (BlockIndex i = 0; i < 300; ++i) {
     ASSERT_EQ((*restored)->policy().Locate(1, i),
               server->policy().Locate(1, i));
   }
-}
-
-TEST(SnapshotTest, SnapshotIsTinyComparedToADirectory) {
-  auto server = Make(Config());
-  ASSERT_TRUE(server->AddObject(1, 100000).ok());
-  ASSERT_TRUE(server->ScaleAdd(3).ok());
-  DrainMigration(*server);
-  const std::string snapshot = *server->SaveSnapshot();
-  // The paper's storage argument: metadata is O(objects + ops), not
-  // O(blocks). 100k blocks, yet the snapshot stays under 200 bytes.
-  EXPECT_LT(snapshot.size(), 200u);
-}
-
-TEST(SnapshotTest, RefusesMidMigrationSnapshot) {
-  auto server = Make(Config());
-  ASSERT_TRUE(server->AddObject(1, 500).ok());
-  ASSERT_TRUE(server->ScaleAdd(1).ok());
-  EXPECT_EQ(server->SaveSnapshot().status().code(),
-            StatusCode::kFailedPrecondition);
+  EXPECT_TRUE((*restored)->VerifyIntegrity().ok());
 }
 
 TEST(SnapshotTest, RejectsCorruptedInput) {
   const ServerConfig config = Config();
-  EXPECT_FALSE(CmServer::Restore(config, "").ok());
-  EXPECT_FALSE(CmServer::Restore(config, "garbage\n").ok());
-  EXPECT_FALSE(
-      CmServer::Restore(config, "scaddar-snapshot-v1\npolicy=scaddar\n")
-          .ok());
-  EXPECT_FALSE(CmServer::Restore(config,
-                                 "scaddar-snapshot-v1\npolicy=scaddar\n"
-                                 "oplog=5\nobject=1,2\n")
+  EXPECT_FALSE(CmServer::FromSnapshotDocument(config, "").ok());
+  EXPECT_FALSE(CmServer::FromSnapshotDocument(config, "garbage\n").ok());
+
+  auto server = Make(config);
+  ASSERT_TRUE(server->AddObject(1, 50).ok());
+  const std::string document = EncodeServerSnapshot(server->CaptureState());
+  ASSERT_TRUE(CmServer::FromSnapshotDocument(config, document).ok());
+  // Torn: the header's byte count no longer matches.
+  EXPECT_FALSE(CmServer::FromSnapshotDocument(
+                   config, document.substr(0, document.size() - 3))
                    .ok());
-  EXPECT_FALSE(CmServer::Restore(config,
-                                 "scaddar-snapshot-v1\npolicy=scaddar\n"
-                                 "oplog=5\nunknown=1\n")
+  // Corrupt: one payload byte flipped under an intact header.
+  std::string flipped = document;
+  flipped[flipped.size() - 2] ^= 0x01;
+  EXPECT_FALSE(CmServer::FromSnapshotDocument(config, flipped).ok());
+  // Checksummed, but not a snapshot payload.
+  EXPECT_FALSE(CmServer::FromSnapshotDocument(
+                   config, WrapChecksummed("scaddar-ckpt-v1", "unknown 1\n"))
+                   .ok());
+  EXPECT_FALSE(CmServer::FromSnapshotDocument(
+                   config, WrapChecksummed("scaddar-ckpt-v1", ""))
                    .ok());
 }
 
 TEST(SnapshotTest, RejectsOutOfRangeRegistrationEpoch) {
-  const ServerConfig config = Config();
-  EXPECT_FALSE(CmServer::Restore(config,
-                                 "scaddar-snapshot-v1\npolicy=scaddar\n"
-                                 "oplog=5;A1\nobject=1,10,1,0,5\n")
-                   .ok());
-  EXPECT_FALSE(CmServer::Restore(config,
-                                 "scaddar-snapshot-v1\npolicy=scaddar\n"
-                                 "oplog=5\nobject=1,10,1,0,-1\n")
-                   .ok());
+  auto server = Make(Config());
+  ASSERT_TRUE(server->AddObject(1, 10).ok());
+  ASSERT_TRUE(server->ScaleAdd(1).ok());
+  DrainMigration(*server);
+  for (const Epoch epoch : {Epoch{2}, Epoch{-1}}) {
+    ServerSnapshot snapshot = server->CaptureState();
+    ASSERT_EQ(snapshot.objects.size(), 1u);
+    snapshot.objects[0].epoch_added = epoch;
+    EXPECT_EQ(CmServer::FromSnapshotDocument(Config(),
+                                             EncodeServerSnapshot(snapshot))
+                  .status()
+                  .code(),
+              StatusCode::kInvalidArgument)
+        << "epoch " << epoch;
+  }
 }
 
 TEST(SnapshotTest, RejectsPolicyMismatch) {
   auto server = Make(Config());
   ASSERT_TRUE(server->AddObject(1, 10).ok());
-  const std::string snapshot = *server->SaveSnapshot();
-  EXPECT_EQ(CmServer::Restore(Config("mod"), snapshot).status().code(),
+  EXPECT_EQ(RoundTrip(*server, Config("mod")).status().code(),
             StatusCode::kInvalidArgument);
 }
 
 TEST(SnapshotTest, StatefulPoliciesAreUnimplemented) {
   auto server = Make(Config("directory"));
   ASSERT_TRUE(server->AddObject(1, 10).ok());
-  const std::string snapshot = *server->SaveSnapshot();
-  EXPECT_EQ(
-      CmServer::Restore(Config("directory"), snapshot).status().code(),
-      StatusCode::kUnimplemented);
+  EXPECT_EQ(RoundTrip(*server, Config("directory")).status().code(),
+            StatusCode::kUnimplemented);
 }
 
 TEST(SnapshotTest, DeterministicPoliciesAllRoundTrip) {
@@ -145,14 +146,14 @@ TEST(SnapshotTest, DeterministicPoliciesAllRoundTrip) {
     ASSERT_TRUE(server->AddObject(1, 300).ok());
     ASSERT_TRUE(server->ScaleAdd(1).ok());
     DrainMigration(*server);
-    const auto restored =
-        CmServer::Restore(Config(name), *server->SaveSnapshot());
-    ASSERT_TRUE(restored.ok()) << name;
+    const auto restored = RoundTrip(*server, Config(name));
+    ASSERT_TRUE(restored.ok()) << name << ": " << restored.status();
     for (BlockIndex i = 0; i < 300; ++i) {
       ASSERT_EQ((*restored)->policy().Locate(1, i),
                 server->policy().Locate(1, i))
           << name << " block " << i;
     }
+    EXPECT_TRUE((*restored)->VerifyIntegrity().ok()) << name;
   }
 }
 
