@@ -260,14 +260,8 @@ void ClusterServer::CommitTransfer(const ObjectTransfer& transfer) {
                     .ok());
   owner_[transfer.object] = transfer.to;
   for (const StreamHandoff& handoff : handoffs) {
-    const auto id = dest->StartStream(transfer.object);
-    if (!id.ok()) {
+    if (!dest->AdoptStream(handoff).ok()) {
       ++handoff_rejects_;  // Destination admission is full: session drops.
-      continue;
-    }
-    SCADDAR_CHECK(dest->SeekStream(id.value(), handoff.next_block).ok());
-    if (handoff.paused) {
-      SCADDAR_CHECK(dest->PauseStream(id.value()).ok());
     }
   }
   SCADDAR_CHECK(source->RemoveObject(transfer.object).ok());
@@ -293,7 +287,13 @@ void ClusterServer::RetireDrainedShards() {
                          shard.server->migration().idle();
     if (!drained) {
       keep.push_back(std::move(shard));
+      continue;
     }
+    // The shard's samples outlive it: they are the startup latencies of
+    // streams it started, handed off or not.
+    const std::vector<int64_t>& samples = shard.server->startup_latencies();
+    retired_latencies_.insert(retired_latencies_.end(), samples.begin(),
+                              samples.end());
   }
   shards_.swap(keep);
 }
@@ -479,7 +479,7 @@ int64_t ClusterServer::completed_streams() const {
 }
 
 std::vector<int64_t> ClusterServer::StartupLatencies() const {
-  std::vector<int64_t> all;
+  std::vector<int64_t> all = retired_latencies_;
   for (const Shard& entry : shards_) {
     const std::vector<int64_t>& shard_latencies =
         entry.server->startup_latencies();
@@ -515,6 +515,7 @@ StatusOr<std::string> ClusterServer::EncodeCheckpoint() const {
   }
   snapshot.round = round_;
   snapshot.handoff_rejects = handoff_rejects_;
+  snapshot.retired_latencies = retired_latencies_;
   return EncodeClusterSnapshot(snapshot);
 }
 
@@ -562,6 +563,7 @@ StatusOr<std::unique_ptr<ClusterServer>> ClusterServer::RestoreFromCheckpoint(
   }
   cluster->round_ = snapshot.round;
   cluster->handoff_rejects_ = snapshot.handoff_rejects;
+  cluster->retired_latencies_ = snapshot.retired_latencies;
   // In-flight transfers were volatile state: any partially copied blocks on
   // a destination died with the process, so re-deriving the queue from
   // route-vs-owner divergence restarts each interrupted transfer cleanly.

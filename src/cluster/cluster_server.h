@@ -192,8 +192,9 @@ class ClusterServer {
   /// last resort).
   int64_t handoff_rejects() const { return handoff_rejects_; }
 
-  /// Cluster-wide startup latencies (rounds to first delivered block),
-  /// concatenated over live shards in creation order.
+  /// Cluster-wide startup latencies (rounds to first delivered block): the
+  /// samples of retired shards, then each live shard's in creation order.
+  /// A handed-off stream keeps the one sample of its first delivery.
   std::vector<int64_t> StartupLatencies() const;
 
   // --- Checkpoint/restart (src/recovery). --------------------------------
@@ -250,7 +251,7 @@ class ClusterServer {
   void CommitTransfer(const ObjectTransfer& transfer);
 
   /// Destroys retiring shards that own nothing, serve nothing and have no
-  /// pending disk migration.
+  /// pending disk migration, keeping their startup latencies.
   void RetireDrainedShards();
 
   ClusterConfig config_;
@@ -263,6 +264,7 @@ class ClusterServer {
 
   int64_t round_ = 0;
   int64_t handoff_rejects_ = 0;
+  std::vector<int64_t> retired_latencies_;  // Of destroyed shards.
 };
 
 /// The cluster-wide active-stream view for the traffic engine (see

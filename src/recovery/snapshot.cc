@@ -168,6 +168,33 @@ StatusOr<SnapshotObject> ParseObjectLine(std::string_view body) {
   return object;
 }
 
+/// Appends `<key> <count> <v1> ... <vcount>` (no trailing newline).
+void AppendLatencies(std::string& out, std::string_view key,
+                     const std::vector<int64_t>& latencies) {
+  out += key;
+  out += ' ';
+  AppendInt(out, static_cast<int64_t>(latencies.size()));
+  for (const int64_t latency : latencies) {
+    out += ' ';
+    AppendInt(out, latency);
+  }
+}
+
+/// Parses the fields of an `AppendLatencies` line into `out`.
+Status ParseLatencies(const std::vector<std::string_view>& fields,
+                      std::vector<int64_t>& out) {
+  SCADDAR_ASSIGN_OR_RETURN(const int64_t count, ParseInt(fields[1]));
+  if (count != static_cast<int64_t>(fields.size()) - 2) {
+    return InvalidArgumentError("latency count mismatch in snapshot");
+  }
+  out.reserve(static_cast<size_t>(count));
+  for (size_t f = 2; f < fields.size(); ++f) {
+    SCADDAR_ASSIGN_OR_RETURN(const int64_t latency, ParseInt(fields[f]));
+    out.push_back(latency);
+  }
+  return OkStatus();
+}
+
 std::vector<std::string_view> SplitFields(std::string_view line) {
   std::vector<std::string_view> tokens;
   size_t pos = 0;
@@ -261,12 +288,8 @@ std::string EncodeServerSnapshot(const ServerSnapshot& snapshot) {
   AppendInt(payload, snapshot.total_hiccups);
   payload += "\nconverged ";
   AppendInt(payload, snapshot.converged ? 1 : 0);
-  payload += "\nlatencies ";
-  AppendInt(payload, static_cast<int64_t>(snapshot.startup_latencies.size()));
-  for (const int64_t latency : snapshot.startup_latencies) {
-    payload += ' ';
-    AppendInt(payload, latency);
-  }
+  payload += '\n';
+  AppendLatencies(payload, "latencies", snapshot.startup_latencies);
   payload += '\n';
   if (snapshot.governor_bits > 0) {
     payload += "governor ";
@@ -400,15 +423,8 @@ StatusOr<ServerSnapshot> DecodeServerSnapshot(std::string_view document) {
       trigger.reason = reason != 0 ? ReorgReason::kCov : ReorgReason::kBudget;
       snapshot.reorg_triggers.push_back(trigger);
     } else if (key == "latencies" && fields.size() >= 2) {
-      SCADDAR_ASSIGN_OR_RETURN(const int64_t count, ParseInt(fields[1]));
-      if (count != static_cast<int64_t>(fields.size()) - 2) {
-        return InvalidArgumentError("latency count mismatch in snapshot");
-      }
-      snapshot.startup_latencies.reserve(static_cast<size_t>(count));
-      for (size_t f = 2; f < fields.size(); ++f) {
-        SCADDAR_ASSIGN_OR_RETURN(const int64_t latency, ParseInt(fields[f]));
-        snapshot.startup_latencies.push_back(latency);
-      }
+      SCADDAR_RETURN_IF_ERROR(
+          ParseLatencies(fields, snapshot.startup_latencies));
     } else if (key == "oplog" && fields.size() == 2) {
       SCADDAR_ASSIGN_OR_RETURN(const int64_t bytes, ParseInt(fields[1]));
       SCADDAR_ASSIGN_OR_RETURN(const std::string_view blob,
@@ -456,6 +472,10 @@ std::string EncodeClusterSnapshot(const ClusterSnapshot& snapshot) {
   AppendInt(payload, snapshot.round);
   payload += "\nhandoffrejects ";
   AppendInt(payload, snapshot.handoff_rejects);
+  if (!snapshot.retired_latencies.empty()) {
+    payload += '\n';
+    AppendLatencies(payload, "retiredlatencies", snapshot.retired_latencies);
+  }
   payload += "\nmap ";
   AppendInt(payload, snapshot.next_member);
   payload += ' ';
@@ -505,6 +525,9 @@ StatusOr<ClusterSnapshot> DecodeClusterSnapshot(std::string_view document) {
       SCADDAR_ASSIGN_OR_RETURN(snapshot.round, ParseInt(fields[1]));
     } else if (key == "handoffrejects" && fields.size() == 2) {
       SCADDAR_ASSIGN_OR_RETURN(snapshot.handoff_rejects, ParseInt(fields[1]));
+    } else if (key == "retiredlatencies" && fields.size() >= 2) {
+      SCADDAR_RETURN_IF_ERROR(
+          ParseLatencies(fields, snapshot.retired_latencies));
     } else if (key == "map" && fields.size() >= 4) {
       SCADDAR_ASSIGN_OR_RETURN(const int64_t next_member, ParseInt(fields[1]));
       SCADDAR_ASSIGN_OR_RETURN(snapshot.map_epoch, ParseInt(fields[2]));

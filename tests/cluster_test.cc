@@ -18,6 +18,8 @@
 #include "cluster/cluster_server.h"
 #include "cluster/cross_shard_migrator.h"
 #include "placement/shard_map.h"
+#include "recovery/checkpoint_manager.h"
+#include "recovery/snapshot.h"
 #include "storage/block_io.h"
 #include "storage/storage_backend.h"
 
@@ -398,6 +400,118 @@ TEST(ClusterServerTest, SerializedAndPooledRoundsAreIdentical) {
   EXPECT_EQ(pooled->StartupLatencies(), serialized->StartupLatencies());
   EXPECT_TRUE(pooled->VerifyIntegrity().ok());
   EXPECT_TRUE(serialized->VerifyIntegrity().ok());
+}
+
+std::vector<int64_t> Sorted(std::vector<int64_t> values) {
+  std::sort(values.begin(), values.end());
+  return values;
+}
+
+/// A 2-shard cluster that added a shard, started 10 streams on it with
+/// startup latencies 0..9 (each resumed one round after the last), then
+/// removed it again: the streams were handed off and the shard destroyed.
+/// `samples` receives the startup latencies before the removal.
+std::unique_ptr<ClusterServer> ClusterWithRetiredShard(
+    std::vector<int64_t>* samples) {
+  auto cluster = ClusterServer::Create(SmallCluster(2)).value();
+  for (ObjectId id = 1; id <= 30; ++id) {
+    SCADDAR_CHECK(cluster->AddObject(id, 600).ok());
+  }
+  const int member = cluster->AddServerShard().value();
+  DrainCluster(*cluster);
+  std::vector<ObjectId> owned;
+  for (ObjectId id = 1; id <= 30; ++id) {
+    if (cluster->OwnerOf(id) == member) {
+      owned.push_back(id);
+    }
+  }
+  SCADDAR_CHECK(!owned.empty());
+  std::vector<int64_t> ids;
+  for (size_t i = 0; i < 10; ++i) {
+    ids.push_back(cluster->StartStream(owned[i % owned.size()]).value());
+    SCADDAR_CHECK(cluster->PauseStream(ids.back()).ok());
+  }
+  for (const int64_t id : ids) {
+    SCADDAR_CHECK(cluster->ResumeStream(id).ok());
+    cluster->Tick();
+  }
+  *samples = cluster->StartupLatencies();
+  SCADDAR_CHECK(cluster->RemoveServerShard(member).ok());
+  DrainCluster(*cluster);
+  SCADDAR_CHECK(cluster->shard(member) == nullptr);
+  return cluster;
+}
+
+TEST(ClusterServerTest, RetiredShardKeepsItsStartupSamples) {
+  std::vector<int64_t> before;
+  auto cluster = ClusterWithRetiredShard(&before);
+  EXPECT_EQ(Sorted(before),
+            (std::vector<int64_t>{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}));
+  // All 10 sessions survived the handoff, and none recorded a second
+  // sample on its destination.
+  EXPECT_EQ(cluster->active_streams(), 10);
+  EXPECT_EQ(cluster->handoff_rejects(), 0);
+  EXPECT_EQ(Sorted(cluster->StartupLatencies()), Sorted(before));
+}
+
+TEST(ClusterServerTest, PausedHandoffRecordsOneSampleAcrossBothShards) {
+  auto cluster = ClusterServer::Create(SmallCluster(2)).value();
+  for (ObjectId id = 1; id <= 20; ++id) {
+    ASSERT_TRUE(cluster->AddObject(id, 240).ok());
+  }
+  // An object the next AddServerShard hands to the new shard.
+  ShardMap probe = cluster->map();
+  const int added = probe.AddMember();
+  ObjectId object = 0;
+  for (ObjectId id = 1; id <= 20 && object == 0; ++id) {
+    object = probe.MemberOf(static_cast<uint64_t>(id)) == added ? id : 0;
+  }
+  ASSERT_NE(object, 0);
+
+  const int64_t started = cluster->round();
+  const int64_t source_id = cluster->StartStream(object).value();
+  ASSERT_TRUE(cluster->PauseStream(source_id).ok());
+  for (int i = 0; i < 3; ++i) {
+    cluster->Tick();  // Waits on the source shard.
+  }
+  ASSERT_EQ(cluster->AddServerShard().value(), added);
+  DrainCluster(*cluster);
+  ASSERT_EQ(cluster->OwnerOf(object), added);
+  const std::vector<Stream>& moved = cluster->shard(added)->streams();
+  ASSERT_EQ(moved.size(), 1u);
+  EXPECT_TRUE(moved[0].paused());
+  EXPECT_EQ(moved[0].next_block(), 0);
+  const int64_t dest_id = moved[0].id();
+  for (int i = 0; i < 2; ++i) {
+    cluster->Tick();  // Waits on the destination shard.
+  }
+  EXPECT_TRUE(cluster->StartupLatencies().empty());
+
+  ASSERT_TRUE(cluster->ResumeStream(dest_id).ok());
+  const int64_t delivered = cluster->round();
+  cluster->Tick();
+  EXPECT_EQ(cluster->StartupLatencies(),
+            (std::vector<int64_t>{delivered - started}));
+  cluster->Tick();
+  EXPECT_EQ(cluster->StartupLatencies().size(), 1u);
+}
+
+TEST(ClusterServerTest, CheckpointKeepsRetiredStartupSamples) {
+  // Without a retired shard the document has no line for its samples.
+  auto fresh = ClusterServer::Create(SmallCluster(2)).value();
+  const std::string plain = fresh->EncodeCheckpoint().value();
+  EXPECT_EQ(plain.find("retiredlatencies"), std::string::npos);
+  EXPECT_TRUE(DecodeClusterSnapshot(plain).value().retired_latencies.empty());
+
+  std::vector<int64_t> before;
+  auto cluster = ClusterWithRetiredShard(&before);
+  CheckpointManager manager;
+  ASSERT_TRUE(cluster->WriteCheckpoint(manager, 1).ok());
+  auto restored =
+      ClusterServer::RestoreFromCheckpoint(cluster->config(), manager);
+  ASSERT_TRUE(restored.ok()) << restored.status();
+  EXPECT_EQ((*restored)->StartupLatencies(), cluster->StartupLatencies());
+  EXPECT_EQ(Sorted((*restored)->StartupLatencies()), Sorted(before));
 }
 
 TEST(ClusterServerTest, PerShardDiskScalingStaysOnline) {
