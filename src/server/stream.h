@@ -65,8 +65,8 @@ class Stream {
   /// `num_blocks` ends the stream.
   void SeekTo(BlockIndex block);
 
-  /// Reattaches a checkpoint-restored stream at its saved position: cursor,
-  /// pause state and per-stream counters as of the snapshot.
+  /// Reattaches a stream at a saved position — a checkpoint restore or a
+  /// cross-shard handoff: cursor, pause state and per-stream counters.
   void RestoreProgress(BlockIndex next_block, int64_t hiccups, bool paused,
                        bool playback_started);
 
