@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "faults/mirror.h"
 #include "faults/parity.h"
 #include "faults/recovery.h"
 #include "faults/replication.h"
@@ -22,9 +21,9 @@ constexpr int64_t kBlocks = 60000;
 constexpr int64_t kDisks = 10;
 
 void MirrorPanel(const ScaddarPolicy& policy) {
-  const MirroredPlacement mirror(&policy);
+  const ReplicatedPlacement mirror(&policy, 2);
   std::printf("\n--- mirroring, f(N) = N/2 (Section 6) ---\n");
-  const std::vector<int64_t> counts = mirror.PerDiskCountsWithMirrors();
+  const std::vector<int64_t> counts = mirror.PerDiskCountsWithReplicas();
   const LoadMetrics metrics = ComputeLoadMetrics(counts);
   std::printf("storage overhead: 2.00x   replicated-load CoV: %.5f\n",
               metrics.coefficient_of_variation);

@@ -1,7 +1,7 @@
-// EXP-I2 (extension) — the HA server end to end: repair time after an
-// unplanned failure as a function of disk bandwidth and replica count, and
-// the data-loss table for overlapping failures. Section 6's "data
-// mirroring may be a simple solution with SCADDAR", operationalized.
+// EXP-I2 (extension) — replication end to end on `CmServer`: repair time
+// after an unplanned failure as a function of disk bandwidth and replica
+// count, and the data-loss table for overlapping failures. Section 6's
+// "data mirroring may be a simple solution with SCADDAR", operationalized.
 
 #include <cstdio>
 #include <cmath>
@@ -9,23 +9,22 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "server/ha_server.h"
+#include "server/server.h"
 
 namespace scaddar {
 namespace {
 
 constexpr int64_t kBlocks = 20000;
 
-std::unique_ptr<HaCmServer> Build(int64_t disks, int64_t replicas,
-                                  int64_t bandwidth) {
-  HaServerConfig config;
-  config.base.initial_disks = disks;
-  config.base.disk_spec = {.capacity_blocks = 500'000,
-                           .bandwidth_blocks_per_round = bandwidth};
-  config.base.master_seed = 0xdeadull;
-  config.replicas = replicas;
-  auto server = std::move(HaCmServer::Create(config)).value();
-  SCADDAR_CHECK(server->AddObject(1, kBlocks).ok());
+std::unique_ptr<CmServer> Build(int64_t disks, int64_t replicas,
+                                int64_t bandwidth) {
+  ServerConfig config;
+  config.initial_disks = disks;
+  config.disk_spec = {.capacity_blocks = 500'000,
+                      .bandwidth_blocks_per_round = bandwidth};
+  config.master_seed = 0xdeadull;
+  auto server = std::move(CmServer::Create(config)).value();
+  SCADDAR_CHECK(server->AddObject(1, kBlocks, 1, replicas).ok());
   return server;
 }
 
@@ -48,8 +47,8 @@ void RepairTimePanel() {
       int64_t rounds = 0;
       int64_t degraded = 0;
       int64_t hiccups = 0;
-      while (!server->repairs_idle() && rounds < 100000) {
-        const HaRoundMetrics metrics = server->Tick();
+      while (!server->migration().idle() && rounds < 100000) {
+        const RoundMetrics metrics = server->Tick();
         degraded += metrics.served_degraded;
         hiccups += metrics.hiccups;
         ++rounds;
@@ -58,7 +57,7 @@ void RepairTimePanel() {
                   static_cast<long long>(replicas),
                   static_cast<long long>(bandwidth),
                   static_cast<long long>(rounds),
-                  static_cast<long long>(server->total_repaired()),
+                  static_cast<long long>(server->migration().total_moved()),
                   static_cast<long long>(degraded),
                   static_cast<long long>(hiccups));
     }
@@ -119,11 +118,10 @@ void PartialReplicationPanel() {
   std::printf("%-14s %-10s %-22s %-22s\n", "replicated", "storage",
               "blocks-at-risk", "requests-at-risk");
   for (const int64_t hot : {0, 2, 5, 10}) {
-    HaServerConfig config;
-    config.base.initial_disks = 10;
-    config.base.master_seed = 0x909ull;
-    config.replicas = 2;
-    auto server = std::move(HaCmServer::Create(config)).value();
+    ServerConfig config;
+    config.initial_disks = 10;
+    config.master_seed = 0x909ull;
+    auto server = std::move(CmServer::Create(config)).value();
     for (ObjectId id = 0; id < kObjects; ++id) {
       SCADDAR_CHECK(server
                         ->AddObject(id, kBlocksPerObject, 1,
@@ -153,7 +151,7 @@ void PartialReplicationPanel() {
 
 int main() {
   scaddar::bench::PrintHeader(
-      "EXP-I2", "HA server: online repair and data-loss envelope");
+      "EXP-I2", "replicated server: online repair and data-loss envelope");
   scaddar::RepairTimePanel();
   scaddar::DataLossPanel();
   scaddar::PartialReplicationPanel();

@@ -8,8 +8,11 @@
 # manager and its detach on every exit path, the traffic engine's stream
 # views into shard stream vectors) and the one snapshot decoder (torn,
 # corrupt and out-of-range restart documents fed to `DecodeServerSnapshot`
-# and `CmServer::LoadFromState` by `snapshot_test`) are memory-checked as
-# part of tier-1; also runnable directly:
+# and `CmServer::LoadFromState` by `snapshot_test`), and replication (copy
+# rows at `r*B + i`, the scheduler's copy fallback and the executor's
+# failed-disk sources, driven by `replicated_server_test` and the
+# replicated-server fuzzers in `fuzz_test`) are memory-checked as part of
+# tier-1; also runnable directly:
 #   cmake -DSOURCE_DIR=. -DBINARY_DIR=build/asan-smoke -P cmake/asan_smoke.cmake
 foreach(var SOURCE_DIR BINARY_DIR)
   if(NOT DEFINED ${var})
@@ -33,6 +36,7 @@ execute_process(
                    migration_test block_io_recovery_test server_test
                    multirate_test vcr_test disk_array_test block_store_test
                    scenario_test cluster_equivalence_test snapshot_test
+                   replicated_server_test fuzz_test
   RESULT_VARIABLE build_result)
 if(build_result)
   message(FATAL_ERROR "ASan build failed: ${build_result}")
@@ -40,7 +44,7 @@ endif()
 
 execute_process(
   COMMAND ${CMAKE_CTEST_COMMAND} --test-dir ${BINARY_DIR}
-          -R "location_cursor_test|serving_equivalence_test|^fault_injection_test$|traffic_engine_test|^cluster_test$|storage_backend_test|governor_property_test|^migration_test$|^block_io_recovery_test$|^server_test$|^multirate_test$|^vcr_test$|^disk_array_test$|^block_store_test$|^scenario_test$|^cluster_equivalence_test$|^snapshot_test$"
+          -R "location_cursor_test|serving_equivalence_test|^fault_injection_test$|traffic_engine_test|^cluster_test$|storage_backend_test|governor_property_test|^migration_test$|^block_io_recovery_test$|^server_test$|^multirate_test$|^vcr_test$|^disk_array_test$|^block_store_test$|^scenario_test$|^cluster_equivalence_test$|^snapshot_test$|^replicated_server_test$|^fuzz_test$"
           --output-on-failure
   RESULT_VARIABLE test_result)
 if(test_result)

@@ -8,16 +8,17 @@
 #include <cstdio>
 #include <unordered_set>
 
-#include "faults/mirror.h"
 #include "faults/recovery.h"
+#include "faults/replication.h"
 #include "random/sequence.h"
 
 using scaddar::BlockIndex;
-using scaddar::MirroredPlacement;
 using scaddar::PhysicalDiskId;
 using scaddar::PlanMirrorRecovery;
 using scaddar::PrngKind;
 using scaddar::RecoveryPlan;
+using scaddar::ReplicaOffset;
+using scaddar::ReplicatedPlacement;
 using scaddar::ScaddarPolicy;
 using scaddar::ScalingOp;
 using scaddar::X0Sequence;
@@ -41,20 +42,20 @@ int main() {
   std::printf("array: %lld disks, %lld blocks, mirrored at offset %lld\n",
               static_cast<long long>(kDisks),
               static_cast<long long>(kBlocks),
-              static_cast<long long>(MirroredPlacement::MirrorOffset(kDisks)));
+              static_cast<long long>(ReplicaOffset(kDisks, 2, 1)));
   std::printf("disk %lld fails unexpectedly...\n\n",
               static_cast<long long>(failed_disk));
 
   // 1. Reads keep working immediately: the mirror serves the dead disk's
   //    share. (No remap needed for availability — only for re-protection.)
   {
-    const MirroredPlacement mirror(&policy);
+    const ReplicatedPlacement mirror(&policy, 2);
     const std::unordered_set<PhysicalDiskId> failures = {failed_disk};
     int64_t served_by_mirror = 0;
     for (BlockIndex i = 0; i < kBlocks; ++i) {
       const auto read = mirror.LocateForRead(1, i, failures);
       SCADDAR_CHECK(read.ok());
-      served_by_mirror += mirror.PrimaryOf(1, i) == failed_disk ? 1 : 0;
+      served_by_mirror += mirror.ReplicaOf(1, i, 0) == failed_disk ? 1 : 0;
     }
     std::printf("phase 1 — degraded service: all %lld blocks readable; "
                 "%lld served from mirrors\n",

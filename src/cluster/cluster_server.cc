@@ -289,11 +289,15 @@ void ClusterServer::RetireDrainedShards() {
       keep.push_back(std::move(shard));
       continue;
     }
-    // The shard's samples outlive it: they are the startup latencies of
-    // streams it started, handed off or not.
+    // The shard's samples and counters outlive it: they are the startup
+    // latencies of streams it started, handed off or not, and the blocks
+    // it served.
     const std::vector<int64_t>& samples = shard.server->startup_latencies();
     retired_latencies_.insert(retired_latencies_.end(), samples.begin(),
                               samples.end());
+    retired_served_ += shard.server->total_served();
+    retired_hiccups_ += shard.server->total_hiccups();
+    retired_completed_ += shard.server->completed_streams();
   }
   shards_.swap(keep);
 }
@@ -455,7 +459,7 @@ int64_t ClusterServer::active_streams() const {
 }
 
 int64_t ClusterServer::total_served() const {
-  int64_t total = 0;
+  int64_t total = retired_served_;
   for (const Shard& entry : shards_) {
     total += entry.server->total_served();
   }
@@ -463,7 +467,7 @@ int64_t ClusterServer::total_served() const {
 }
 
 int64_t ClusterServer::total_hiccups() const {
-  int64_t total = 0;
+  int64_t total = retired_hiccups_;
   for (const Shard& entry : shards_) {
     total += entry.server->total_hiccups();
   }
@@ -471,7 +475,7 @@ int64_t ClusterServer::total_hiccups() const {
 }
 
 int64_t ClusterServer::completed_streams() const {
-  int64_t total = 0;
+  int64_t total = retired_completed_;
   for (const Shard& entry : shards_) {
     total += entry.server->completed_streams();
   }
@@ -516,6 +520,9 @@ StatusOr<std::string> ClusterServer::EncodeCheckpoint() const {
   snapshot.round = round_;
   snapshot.handoff_rejects = handoff_rejects_;
   snapshot.retired_latencies = retired_latencies_;
+  snapshot.retired_served = retired_served_;
+  snapshot.retired_hiccups = retired_hiccups_;
+  snapshot.retired_completed = retired_completed_;
   return EncodeClusterSnapshot(snapshot);
 }
 
@@ -564,6 +571,9 @@ StatusOr<std::unique_ptr<ClusterServer>> ClusterServer::RestoreFromCheckpoint(
   cluster->round_ = snapshot.round;
   cluster->handoff_rejects_ = snapshot.handoff_rejects;
   cluster->retired_latencies_ = snapshot.retired_latencies;
+  cluster->retired_served_ = snapshot.retired_served;
+  cluster->retired_hiccups_ = snapshot.retired_hiccups;
+  cluster->retired_completed_ = snapshot.retired_completed;
   // In-flight transfers were volatile state: any partially copied blocks on
   // a destination died with the process, so re-deriving the queue from
   // route-vs-owner divergence restarts each interrupted transfer cleanly.

@@ -180,8 +180,9 @@ class ClusterServer {
   /// engine, matching the bare server's registration order).
   const std::vector<ObjectId>& objects() const { return objects_; }
 
-  /// Cluster-total stream counters (sums over live shards; streams detached
-  /// for handoff count in neither completed nor hiccups).
+  /// Cluster-total stream counters: sums over live shards plus what
+  /// retired shards had counted (streams detached for handoff count in
+  /// neither completed nor hiccups).
   int64_t active_streams() const;
   int64_t total_served() const;
   int64_t total_hiccups() const;
@@ -251,7 +252,8 @@ class ClusterServer {
   void CommitTransfer(const ObjectTransfer& transfer);
 
   /// Destroys retiring shards that own nothing, serve nothing and have no
-  /// pending disk migration, keeping their startup latencies.
+  /// pending disk migration, keeping their startup latencies and stream
+  /// counters.
   void RetireDrainedShards();
 
   ClusterConfig config_;
@@ -264,7 +266,11 @@ class ClusterServer {
 
   int64_t round_ = 0;
   int64_t handoff_rejects_ = 0;
-  std::vector<int64_t> retired_latencies_;  // Of destroyed shards.
+  // What destroyed shards had counted.
+  std::vector<int64_t> retired_latencies_;
+  int64_t retired_served_ = 0;
+  int64_t retired_hiccups_ = 0;
+  int64_t retired_completed_ = 0;
 };
 
 /// The cluster-wide active-stream view for the traffic engine (see

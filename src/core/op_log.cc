@@ -1,8 +1,9 @@
 #include "core/op_log.h"
 
 #include <algorithm>
-#include <charconv>
 #include <cmath>
+
+#include "util/tokens.h"
 
 namespace scaddar {
 
@@ -166,20 +167,6 @@ std::string OpLog::Serialize() const {
   return out;
 }
 
-namespace {
-
-StatusOr<int64_t> ParseInt64(std::string_view token) {
-  int64_t value = 0;
-  const auto [ptr, ec] =
-      std::from_chars(token.data(), token.data() + token.size(), value);
-  if (ec != std::errc() || ptr != token.data() + token.size()) {
-    return InvalidArgumentError("malformed integer in op log");
-  }
-  return value;
-}
-
-}  // namespace
-
 StatusOr<OpLog> OpLog::Deserialize(std::string_view text) {
   const size_t first_sep = text.find(';');
   const std::string_view head = text.substr(0, first_sep);
@@ -190,7 +177,7 @@ StatusOr<OpLog> OpLog::Deserialize(std::string_view text) {
     while (!body.empty()) {
       const size_t comma = body.find(',');
       SCADDAR_ASSIGN_OR_RETURN(const int64_t id,
-                               ParseInt64(body.substr(0, comma)));
+                               ParseIntToken(body.substr(0, comma), "op log"));
       ids.push_back(id);
       if (comma == std::string_view::npos) {
         break;
@@ -199,7 +186,7 @@ StatusOr<OpLog> OpLog::Deserialize(std::string_view text) {
     }
     log_or = OpLog::CreateWithIds(std::move(ids));
   } else {
-    SCADDAR_ASSIGN_OR_RETURN(const int64_t n0, ParseInt64(head));
+    SCADDAR_ASSIGN_OR_RETURN(const int64_t n0, ParseIntToken(head, "op log"));
     log_or = OpLog::Create(n0);
   }
   if (!log_or.ok()) {

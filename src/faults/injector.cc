@@ -1,11 +1,11 @@
 #include "faults/injector.h"
 
 #include <algorithm>
-#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 
 #include "random/distributions.h"
+#include "util/tokens.h"
 
 namespace scaddar {
 
@@ -38,13 +38,7 @@ const char* BackendKindToken(BackendFaultKind kind) {
 }
 
 StatusOr<int64_t> ParseInt(std::string_view token) {
-  int64_t value = 0;
-  const auto [ptr, ec] =
-      std::from_chars(token.data(), token.data() + token.size(), value);
-  if (ec != std::errc() || ptr != token.data() + token.size()) {
-    return InvalidArgumentError("malformed integer in fault schedule");
-  }
-  return value;
+  return ParseIntToken(token, "fault schedule");
 }
 
 StatusOr<double> ParseDouble(std::string_view token) {
@@ -55,24 +49,6 @@ StatusOr<double> ParseDouble(std::string_view token) {
     return InvalidArgumentError("malformed probability in fault schedule");
   }
   return value;
-}
-
-std::vector<std::string_view> Split(std::string_view line) {
-  std::vector<std::string_view> tokens;
-  size_t pos = 0;
-  while (pos < line.size()) {
-    while (pos < line.size() && line[pos] == ' ') {
-      ++pos;
-    }
-    const size_t start = pos;
-    while (pos < line.size() && line[pos] != ' ') {
-      ++pos;
-    }
-    if (pos > start) {
-      tokens.push_back(line.substr(start, pos - start));
-    }
-  }
-  return tokens;
 }
 
 }  // namespace
@@ -179,7 +155,7 @@ StatusOr<FaultSchedule> FaultSchedule::Deserialize(std::string_view text) {
     if (hash != std::string_view::npos) {
       line = line.substr(0, hash);
     }
-    const std::vector<std::string_view> tokens = Split(line);
+    const std::vector<std::string_view> tokens = SplitTokens(line);
     if (tokens.empty()) {
       continue;
     }

@@ -44,8 +44,9 @@ enum class FaultKind {
   /// Kill the process at a (move ordinal, phase) boundary. The executor
   /// stops dead; only state written durably before the boundary survives.
   kCrash,
-  /// Unplanned disk death at the start of a round (consumed by the HA
-  /// server, which treats it as an Eq. 3a/3b removal with zero drain time).
+  /// Unplanned disk death at the start of a round (consumed by
+  /// `CmServer::Tick` through `FailDisk`: an Eq. 3a/3b removal with zero
+  /// drain time).
   kDiskFail,
   /// Probabilistic transient I/O error on block transfers and replica
   /// reads. Fires per attempt with `probability`, from the injector's
@@ -158,7 +159,7 @@ class FaultInjector {
   void BeginRound(int64_t round);
 
   /// Disks scheduled to die this round (kDiskFail events; each returned
-  /// once). The HA server calls this right after `BeginRound`.
+  /// once). `CmServer::Tick` calls this right after `BeginRound`.
   std::vector<PhysicalDiskId> TakeDiskFailures();
 
   /// Called by the executor when a move is about to execute (its entry

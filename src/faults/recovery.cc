@@ -1,7 +1,5 @@
 #include "faults/recovery.h"
 
-#include <algorithm>
-
 #include "core/mapper.h"
 
 namespace scaddar {
@@ -26,8 +24,8 @@ StatusOr<RecoveryPlan> PlanMirrorRecovery(const ScaddarPolicy& policy) {
   const std::vector<PhysicalDiskId>& phys_cur = log.physical_disks_at(j);
   const PhysicalDiskId failed =
       phys_prev[static_cast<size_t>(op.removed_slots().front())];
-  const int64_t offset_prev = MirroredPlacement::MirrorOffset(n_prev);
-  const int64_t offset_cur = MirroredPlacement::MirrorOffset(n_cur);
+  const int64_t offset_prev = ReplicaOffset(n_prev, 2, 1);
+  const int64_t offset_cur = ReplicaOffset(n_cur, 2, 1);
 
   const Mapper mapper(&log);
   RecoveryPlan plan;
@@ -95,16 +93,6 @@ StatusOr<RecoveryPlan> PlanMirrorRecovery(const ScaddarPolicy& policy) {
     }
   }
   return plan;
-}
-
-int64_t RetryBackoff::DelayFor(int64_t attempt) const {
-  const int64_t shift = std::max<int64_t>(attempt, 1) - 1;
-  // 2^shift without overflow: saturate once the doubling passes the cap.
-  int64_t delay = std::max<int64_t>(base_delay_rounds, 1);
-  for (int64_t k = 0; k < shift && delay < max_delay_rounds; ++k) {
-    delay *= 2;
-  }
-  return std::min(delay, std::max<int64_t>(max_delay_rounds, 1));
 }
 
 }  // namespace scaddar

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "faults/mirror.h"
 #include "placement/scaddar_policy.h"
 #include "util/statusor.h"
 
@@ -54,21 +53,10 @@ struct RecoveryPlan {
 /// reading from a replica that survived the failure — never from the
 /// failed disk.
 ///
-/// With `MirroredPlacement` the primary and mirror are always on distinct
-/// disks, so every block has a surviving source and the plan is complete.
+/// The mirror sits at `ReplicaOffset(N, 2, 1)` = N/2 slots from the
+/// primary, always on a distinct disk, so every block has a surviving
+/// source and the plan is complete.
 StatusOr<RecoveryPlan> PlanMirrorRecovery(const ScaddarPolicy& policy);
-
-/// Capped exponential backoff for transfers refused by transient I/O
-/// errors: attempt k waits `base_delay_rounds * 2^(k-1)` rounds, capped at
-/// `max_delay_rounds`. Rounds are the natural clock here — one round is one
-/// block's playback time, and repair bandwidth is granted per round.
-struct RetryBackoff {
-  int64_t base_delay_rounds = 1;
-  int64_t max_delay_rounds = 8;
-
-  /// Rounds to wait before retry number `attempt` (1-based; clamped >= 1).
-  int64_t DelayFor(int64_t attempt) const;
-};
 
 }  // namespace scaddar
 

@@ -9,14 +9,6 @@ ReplicatedPlacement::ReplicatedPlacement(const ScaddarPolicy* policy,
   SCADDAR_CHECK(replicas >= 2);
 }
 
-int64_t ReplicatedPlacement::ReplicaOffset(int64_t n, int64_t replicas,
-                                           int64_t r) {
-  SCADDAR_CHECK(n >= 1);
-  SCADDAR_CHECK(replicas >= 2);
-  SCADDAR_CHECK(r >= 0 && r < replicas);
-  return r * n / replicas;
-}
-
 DiskSlot ReplicatedPlacement::ReplicaSlot(ObjectId object, BlockIndex block,
                                           int64_t r) const {
   const int64_t n = policy_->current_disks();

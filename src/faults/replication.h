@@ -11,9 +11,10 @@
 namespace scaddar {
 
 /// R-way generalization of Section 6's fixed-offset mirroring: replica `r`
-/// of a block lives at slot `(primary + floor(r*Nj/R)) mod Nj`. Offsets are
-/// pure functions of the epoch's disk count, so — like the 2-way mirror —
-/// no directory is needed and the replicas scale with the same op log.
+/// of a block lives at slot `(primary + ReplicaOffset(Nj, R, r)) mod Nj`.
+/// Offsets are pure functions of the epoch's disk count, so no directory is
+/// needed and the replicas scale with the same op log. `R = 2` is the
+/// paper's mirror at `f(Nj) = Nj/2`.
 ///
 /// With `Nj >= R` the R offsets are distinct, every replica is on a
 /// different disk, and any `R-1` simultaneous disk failures leave each
@@ -22,10 +23,6 @@ class ReplicatedPlacement {
  public:
   /// `replicas >= 2` (checked); `policy` borrowed (non-null, checked).
   ReplicatedPlacement(const ScaddarPolicy* policy, int64_t replicas);
-
-  /// Slot offset of replica `r` (in [0, replicas)) at disk count `n`:
-  /// `floor(r*n/replicas)`. Distinct across `r` whenever `n >= replicas`.
-  static int64_t ReplicaOffset(int64_t n, int64_t replicas, int64_t r);
 
   /// Slot of replica `r`; replica 0 is the primary.
   DiskSlot ReplicaSlot(ObjectId object, BlockIndex block, int64_t r) const;

@@ -25,14 +25,22 @@ PlacementPolicy::PlacementPolicy(OpLog initial_log)
   SCADDAR_CHECK(log_.num_ops() == 0);
 }
 
-Status PlacementPolicy::AddObject(ObjectId id, std::vector<uint64_t> x0) {
+Status PlacementPolicy::AddObject(ObjectId id, std::vector<uint64_t> x0,
+                                  int64_t copies) {
   if (object_index_.contains(id)) {
     return AlreadyExistsError("object already registered");
+  }
+  if (copies < 1) {
+    return InvalidArgumentError("an object needs at least one copy");
+  }
+  if (copies > 1 && !PlacesCopies()) {
+    return UnimplementedError("this policy places one copy per block");
   }
   object_index_[id] = objects_.size();
   total_blocks_ += static_cast<int64_t>(x0.size());
   objects_.emplace_back(id, std::move(x0));
   added_epoch_.push_back(log_.num_ops());
+  copies_.push_back(copies);
   placement_key_ = NextPlacementKey();
   return OnObjectAdded(id);
 }
@@ -89,6 +97,7 @@ Status PlacementPolicy::RemoveObject(ObjectId id) {
   total_blocks_ -= static_cast<int64_t>(objects_[index].second.size());
   objects_.erase(objects_.begin() + static_cast<ptrdiff_t>(index));
   added_epoch_.erase(added_epoch_.begin() + static_cast<ptrdiff_t>(index));
+  copies_.erase(copies_.begin() + static_cast<ptrdiff_t>(index));
   object_index_.erase(it);
   // Reindex the tail.
   for (size_t i = index; i < objects_.size(); ++i) {
@@ -108,9 +117,23 @@ int64_t PlacementPolicy::NumBlocksOf(ObjectId id) const {
 }
 
 Epoch PlacementPolicy::epoch_added(ObjectId id) const {
+  return entry_of(id).epoch;
+}
+
+int64_t PlacementPolicy::CopiesOf(ObjectId id) const {
+  return entry_of(id).copies;
+}
+
+int64_t PlacementPolicy::MaxCopies() const {
+  return copies_.empty() ? 1
+                         : *std::max_element(copies_.begin(), copies_.end());
+}
+
+PlacementPolicy::ObjectEntry PlacementPolicy::entry_of(ObjectId id) const {
   const auto it = object_index_.find(id);
   SCADDAR_CHECK(it != object_index_.end());
-  return added_epoch_[it->second];
+  return ObjectEntry{objects_[it->second].second, added_epoch_[it->second],
+                     copies_[it->second]};
 }
 
 std::vector<int64_t> PlacementPolicy::PerDiskCounts() const {

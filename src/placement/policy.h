@@ -37,10 +37,15 @@ class PlacementPolicy {
   /// Stable policy name ("scaddar", "naive", ...).
   virtual std::string_view name() const = 0;
 
-  /// Registers an object and its per-block random numbers. Fails on
-  /// duplicate ids. Objects must be registered in the same order across
-  /// policies for movement comparisons to be meaningful.
-  Status AddObject(ObjectId id, std::vector<uint64_t> x0);
+  /// Registers an object and its per-block random numbers, kept as `copies`
+  /// copies of every block (Section 6's replication). Copy `r` of block `i`
+  /// of an object with `B` blocks is row index `r*B + i` of the batch AF()
+  /// calls below, so an object spans `copies * B` rows; copy 0 is the
+  /// primary and the only one `Locate` resolves. Fails on duplicate ids and
+  /// on `copies < 1`; `copies > 1` is Unimplemented unless the policy places
+  /// copies (SCADDAR's offset family). Objects must be registered in the
+  /// same order across policies for movement comparisons to be meaningful.
+  Status AddObject(ObjectId id, std::vector<uint64_t> x0, int64_t copies = 1);
 
   /// Deletes an object (its blocks simply stop existing — freeing space
   /// needs no relocation under any policy). NotFound if absent.
@@ -54,23 +59,23 @@ class PlacementPolicy {
   /// `block` of `object` (which must be registered; checked).
   virtual PhysicalDiskId Locate(ObjectId object, BlockIndex block) const = 0;
 
-  /// Batch `AF()`: fills `out` with the physical disk of every block of
-  /// `object` (resized to the object's block count). The default loops over
-  /// `Locate`; policies with a batch fast path (SCADDAR's step-major
+  /// Batch `AF()`: fills `out` with the physical disk of every row of
+  /// `object`, copies included (resized to `copies * B`). The default loops
+  /// over `Locate`; policies with a batch fast path (SCADDAR's step-major
   /// compiled kernels) override it so bulk consumers — reconciliation,
   /// snapshots, planners — pay one virtual call per object, not per block.
   virtual void LocateAllBlocks(ObjectId object,
                                std::vector<PhysicalDiskId>& out) const;
 
-  /// Batch `AF()` over the contiguous block range `[begin, end)` of
-  /// `object` (`out.size()` must equal `end - begin`; bounds checked). The
+  /// Batch `AF()` over the contiguous row range `[begin, end)` of `object`
+  /// (`out.size()` must equal `end - begin`; bounds checked). The
   /// serving-path cursors prefetch their sliding windows through this —
   /// policies with batch kernels resolve the whole window against one
   /// pinned snapshot.
   virtual void LocateRange(ObjectId object, BlockIndex begin, BlockIndex end,
                            std::span<PhysicalDiskId> out) const;
 
-  /// Batch `AF()` over an arbitrary set of block indices of one object
+  /// Batch `AF()` over an arbitrary set of row indices of one object
   /// (sizes must match; indices bounds-checked). The migration executor
   /// resolves a round's queued blocks per object through this.
   virtual void LocateMany(ObjectId object, std::span<const BlockIndex> blocks,
@@ -118,6 +123,12 @@ class PlacementPolicy {
   /// Number of blocks of a registered object (checked).
   int64_t NumBlocksOf(ObjectId id) const;
 
+  /// Copies per block of a registered object (checked).
+  int64_t CopiesOf(ObjectId id) const;
+
+  /// The largest copy count any registered object holds (1 when none).
+  int64_t MaxCopies() const;
+
   /// Epoch at which the object was registered (checked). Epoch-aware
   /// policies (SCADDAR, naive) start the object's remap chain there: an
   /// object written after `j` scaling operations is initially placed as
@@ -138,6 +149,9 @@ class PlacementPolicy {
   /// Hook: called after an object's X0 vector is stored.
   virtual Status OnObjectAdded(ObjectId id);
 
+  /// True iff the batch AF() resolves copy rows (`AddObject`'s `copies`).
+  virtual bool PlacesCopies() const { return false; }
+
   /// Hook: called before an object's state is dropped.
   virtual Status OnObjectRemoved(ObjectId id);
 
@@ -147,6 +161,14 @@ class PlacementPolicy {
 
   /// X0 values of a registered object (checked).
   const std::vector<uint64_t>& x0_of(ObjectId id) const;
+
+  /// One registered object's AF() inputs, found with one hash probe.
+  struct ObjectEntry {
+    const std::vector<uint64_t>& x0;
+    Epoch epoch;
+    int64_t copies;
+  };
+  ObjectEntry entry_of(ObjectId id) const;  // Checked.
 
   /// Registered objects in registration order.
   const std::vector<std::pair<ObjectId, std::vector<uint64_t>>>& objects()
@@ -158,6 +180,7 @@ class PlacementPolicy {
   OpLog log_;
   std::vector<std::pair<ObjectId, std::vector<uint64_t>>> objects_;
   std::vector<Epoch> added_epoch_;  // Parallel to objects_.
+  std::vector<int64_t> copies_;     // Parallel to objects_.
   std::unordered_map<ObjectId, size_t> object_index_;
   int64_t total_blocks_ = 0;
   uint64_t placement_key_ = 0;

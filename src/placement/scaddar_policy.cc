@@ -1,8 +1,16 @@
 #include "placement/scaddar_policy.h"
 
+#include <numeric>
 #include <span>
 
 namespace scaddar {
+
+int64_t ReplicaOffset(int64_t n, int64_t replicas, int64_t r) {
+  SCADDAR_CHECK(n >= 1);
+  SCADDAR_CHECK(replicas >= 2);
+  SCADDAR_CHECK(r >= 0 && r < replicas);
+  return r * n / replicas;
+}
 
 const CompiledLog& ScaddarPolicy::compiled() const {
   if (compiled_ == nullptr ||
@@ -14,64 +22,83 @@ const CompiledLog& ScaddarPolicy::compiled() const {
 
 PhysicalDiskId ScaddarPolicy::Locate(ObjectId object,
                                      BlockIndex block) const {
-  const std::vector<uint64_t>& x0 = x0_of(object);
+  const ObjectEntry entry = entry_of(object);
   SCADDAR_CHECK(block >= 0 &&
-                block < static_cast<BlockIndex>(x0.size()));
-  return compiled().LocatePhysical(x0[static_cast<size_t>(block)],
-                                   epoch_added(object));
+                block < static_cast<BlockIndex>(entry.x0.size()));
+  return compiled().LocatePhysical(entry.x0[static_cast<size_t>(block)],
+                                   entry.epoch);
 }
 
 void ScaddarPolicy::LocateAllBlocks(ObjectId object,
                                     std::vector<PhysicalDiskId>& out) const {
-  const std::vector<uint64_t>& x0 = x0_of(object);
-  out.resize(x0.size());
-  compiled().LocatePhysicalBatch(std::span<const uint64_t>(x0),
-                                 std::span<PhysicalDiskId>(out),
-                                 epoch_added(object));
+  const ObjectEntry entry = entry_of(object);
+  out.resize(entry.x0.size() * static_cast<size_t>(entry.copies));
+  if (entry.copies > 1) {
+    LocateRange(object, 0, static_cast<BlockIndex>(out.size()),
+                std::span<PhysicalDiskId>(out));
+    return;
+  }
+  compiled().LocatePhysicalBatch(std::span<const uint64_t>(entry.x0),
+                                 std::span<PhysicalDiskId>(out), entry.epoch);
 }
 
 void ScaddarPolicy::LocateRange(ObjectId object, BlockIndex begin,
                                 BlockIndex end,
                                 std::span<PhysicalDiskId> out) const {
-  const std::vector<uint64_t>& x0 = x0_of(object);
-  const auto blocks = static_cast<BlockIndex>(x0.size());
-  SCADDAR_CHECK(begin >= 0 && begin <= end && end <= blocks);
+  const ObjectEntry entry = entry_of(object);
+  const auto blocks = static_cast<BlockIndex>(entry.x0.size());
+  SCADDAR_CHECK(begin >= 0 && begin <= end && end <= blocks * entry.copies);
   SCADDAR_CHECK(static_cast<BlockIndex>(out.size()) == end - begin);
+  if (end > blocks) {  // Reaches into the copies.
+    std::vector<BlockIndex> rows(out.size());
+    std::iota(rows.begin(), rows.end(), begin);
+    LocateMany(object, std::span<const BlockIndex>(rows), out);
+    return;
+  }
   compiled().LocatePhysicalBatch(
-      std::span<const uint64_t>(x0).subspan(static_cast<size_t>(begin),
-                                            static_cast<size_t>(end - begin)),
-      out, epoch_added(object));
+      std::span<const uint64_t>(entry.x0).subspan(
+          static_cast<size_t>(begin), static_cast<size_t>(end - begin)),
+      out, entry.epoch);
 }
 
 void ScaddarPolicy::LocateMany(ObjectId object,
                                std::span<const BlockIndex> blocks,
                                std::span<PhysicalDiskId> out) const {
   SCADDAR_CHECK(blocks.size() == out.size());
-  const std::vector<uint64_t>& x0 = x0_of(object);
+  const ObjectEntry entry = entry_of(object);
+  const auto num_blocks = static_cast<BlockIndex>(entry.x0.size());
   std::vector<uint64_t> gathered(blocks.size());
   for (size_t i = 0; i < blocks.size(); ++i) {
-    SCADDAR_CHECK(blocks[i] >= 0 &&
-                  blocks[i] < static_cast<BlockIndex>(x0.size()));
-    gathered[i] = x0[static_cast<size_t>(blocks[i])];
+    const BlockIndex row = blocks[i];
+    SCADDAR_CHECK(row >= 0 && row < num_blocks * entry.copies);
+    gathered[i] = entry.x0[static_cast<size_t>(
+        row < num_blocks ? row : row % num_blocks)];
   }
-  compiled().LocatePhysicalBatch(std::span<const uint64_t>(gathered), out,
-                                 epoch_added(object));
-}
-
-void ScaddarPolicy::LocateAllSlots(ObjectId object,
-                                   std::vector<DiskSlot>& out) const {
-  const std::vector<uint64_t>& x0 = x0_of(object);
-  out.resize(x0.size());
-  compiled().LocateSlotBatch(std::span<const uint64_t>(x0),
-                             std::span<DiskSlot>(out), epoch_added(object));
+  if (entry.copies == 1) {
+    compiled().LocatePhysicalBatch(std::span<const uint64_t>(gathered), out,
+                                   entry.epoch);
+    return;
+  }
+  // Copy `r` of a block lands `ReplicaOffset(n, R, r)` slots after the
+  // primary's slot: one slot pass, then a rotation per row.
+  std::vector<DiskSlot> slots(blocks.size());
+  compiled().LocateSlotBatch(std::span<const uint64_t>(gathered),
+                             std::span<DiskSlot>(slots), entry.epoch);
+  const int64_t n = current_disks();
+  const std::vector<PhysicalDiskId>& physical = log().physical_disks();
+  for (size_t i = 0; i < blocks.size(); ++i) {
+    const int64_t offset =
+        ReplicaOffset(n, entry.copies, blocks[i] / num_blocks);
+    out[i] = physical[static_cast<size_t>((slots[i] + offset) % n)];
+  }
 }
 
 DiskSlot ScaddarPolicy::LocateSlot(ObjectId object, BlockIndex block) const {
-  const std::vector<uint64_t>& x0 = x0_of(object);
+  const ObjectEntry entry = entry_of(object);
   SCADDAR_CHECK(block >= 0 &&
-                block < static_cast<BlockIndex>(x0.size()));
-  return compiled().LocateSlot(x0[static_cast<size_t>(block)],
-                               epoch_added(object));
+                block < static_cast<BlockIndex>(entry.x0.size()));
+  return compiled().LocateSlot(entry.x0[static_cast<size_t>(block)],
+                               entry.epoch);
 }
 
 Status ScaddarPolicy::OnOp(const ScalingOp& /*op*/) {

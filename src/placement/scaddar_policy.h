@@ -9,6 +9,13 @@
 
 namespace scaddar {
 
+/// Slot offset of copy `r` (in [0, replicas)) of a block from its primary
+/// at disk count `n`: `floor(r*n/replicas)`. Section 6's mirror at
+/// `f(Nj) = Nj/2` is copy 1 of 2. A pure function of the epoch's disk
+/// count, so copies need no directory and scale with the same op log; the
+/// offsets are distinct across `r` whenever `n >= replicas`.
+int64_t ReplicaOffset(int64_t n, int64_t replicas, int64_t r);
+
 /// The paper's contribution as a placement policy. Completely stateless
 /// beyond the shared op log: `Locate` replays the REMAP chain from the
 /// block's `X0` (AO1), and scaling operations need no per-block bookkeeping.
@@ -23,6 +30,11 @@ namespace scaddar {
 /// starts its chain at epoch `j` (initial placement `X0 mod N_j`), so late
 /// objects neither replay history that predates them nor burn random range
 /// on it.
+///
+/// Objects may keep several copies of every block: copy `r` of block `i`
+/// sits `ReplicaOffset(N, R, r)` slots after block `i`'s primary, and the
+/// batch AF() resolves it as row `r*B + i`. One-copy objects take the
+/// physical batch kernels unchanged.
 class ScaddarPolicy final : public PlacementPolicy {
  public:
   explicit ScaddarPolicy(int64_t n0) : PlacementPolicy(n0) {}
@@ -50,13 +62,9 @@ class ScaddarPolicy final : public PlacementPolicy {
   /// Logical slot variant (exposed for tests and the Figure 1 walkthrough).
   DiskSlot LocateSlot(ObjectId object, BlockIndex block) const;
 
-  /// Batch slot variant: one step-major pass over the whole object. The HA
-  /// server derives every replica's target from these primary slots, so one
-  /// chain evaluation serves R replicas.
-  void LocateAllSlots(ObjectId object, std::vector<DiskSlot>& out) const;
-
  protected:
   Status OnOp(const ScalingOp& op) override;
+  bool PlacesCopies() const override { return true; }
 
  private:
   /// The compiled snapshot of `log()`, rebuilt iff the log's revision

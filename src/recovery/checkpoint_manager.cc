@@ -1,11 +1,11 @@
 #include "recovery/checkpoint_manager.h"
 
 #include <algorithm>
-#include <charconv>
 #include <utility>
 
 #include "faults/injector.h"
 #include "recovery/snapshot.h"
+#include "util/tokens.h"
 
 namespace scaddar {
 
@@ -14,31 +14,7 @@ namespace {
 constexpr std::string_view kFragMagic = "scaddar-ckptfrag-v1";
 
 StatusOr<int64_t> ParseInt(std::string_view token) {
-  int64_t value = 0;
-  const auto [ptr, ec] =
-      std::from_chars(token.data(), token.data() + token.size(), value);
-  if (ec != std::errc() || ptr != token.data() + token.size()) {
-    return InvalidArgumentError("malformed integer in checkpoint fragment");
-  }
-  return value;
-}
-
-std::vector<std::string_view> SplitFields(std::string_view line) {
-  std::vector<std::string_view> tokens;
-  size_t pos = 0;
-  while (pos < line.size()) {
-    while (pos < line.size() && line[pos] == ' ') {
-      ++pos;
-    }
-    const size_t start = pos;
-    while (pos < line.size() && line[pos] != ' ') {
-      ++pos;
-    }
-    if (pos > start) {
-      tokens.push_back(line.substr(start, pos - start));
-    }
-  }
-  return tokens;
+  return ParseIntToken(token, "checkpoint fragment");
 }
 
 /// One validated fragment, parsed out of its framed document.
@@ -85,7 +61,7 @@ StatusOr<FragmentView> ParseFragment(std::string_view document) {
     return InvalidArgumentError("checkpoint fragment has no header");
   }
   const std::vector<std::string_view> fields =
-      SplitFields(inner.substr(0, eol));
+      SplitTokens(inner.substr(0, eol));
   if (fields.size() != 8 || fields[0] != "frag") {
     return InvalidArgumentError("malformed checkpoint fragment header");
   }

@@ -3,6 +3,8 @@
 #include <charconv>
 #include <cstdio>
 
+#include "util/tokens.h"
+
 namespace scaddar {
 
 namespace {
@@ -11,13 +13,7 @@ constexpr std::string_view kServerMagic = "scaddar-ckpt-v1";
 constexpr std::string_view kClusterMagic = "scaddar-cluster-ckpt-v1";
 
 StatusOr<int64_t> ParseInt(std::string_view token) {
-  int64_t value = 0;
-  const auto [ptr, ec] =
-      std::from_chars(token.data(), token.data() + token.size(), value);
-  if (ec != std::errc() || ptr != token.data() + token.size()) {
-    return InvalidArgumentError("malformed integer in snapshot");
-  }
-  return value;
+  return ParseIntToken(token, "snapshot");
 }
 
 StatusOr<uint64_t> ParseHex(std::string_view token) {
@@ -195,24 +191,6 @@ Status ParseLatencies(const std::vector<std::string_view>& fields,
   return OkStatus();
 }
 
-std::vector<std::string_view> SplitFields(std::string_view line) {
-  std::vector<std::string_view> tokens;
-  size_t pos = 0;
-  while (pos < line.size()) {
-    while (pos < line.size() && line[pos] == ' ') {
-      ++pos;
-    }
-    const size_t start = pos;
-    while (pos < line.size() && line[pos] != ' ') {
-      ++pos;
-    }
-    if (pos > start) {
-      tokens.push_back(line.substr(start, pos - start));
-    }
-  }
-  return tokens;
-}
-
 void AppendBlob(std::string& out, std::string_view key,
                 std::string_view blob) {
   out += key;
@@ -253,7 +231,7 @@ StatusOr<std::string_view> UnwrapChecksummed(std::string_view magic,
     return InvalidArgumentError("snapshot document has no header line");
   }
   const std::vector<std::string_view> fields =
-      SplitFields(document.substr(0, eol));
+      SplitTokens(document.substr(0, eol));
   if (fields.size() != 3 || fields[0] != magic) {
     return InvalidArgumentError("unrecognized snapshot header");
   }
@@ -383,7 +361,7 @@ StatusOr<ServerSnapshot> DecodeServerSnapshot(std::string_view document) {
       snapshot.objects.push_back(std::move(object));
       continue;
     }
-    const std::vector<std::string_view> fields = SplitFields(line);
+    const std::vector<std::string_view> fields = SplitTokens(line);
     if (fields.empty()) {
       continue;
     }
@@ -476,6 +454,15 @@ std::string EncodeClusterSnapshot(const ClusterSnapshot& snapshot) {
     payload += '\n';
     AppendLatencies(payload, "retiredlatencies", snapshot.retired_latencies);
   }
+  if (snapshot.retired_served != 0 || snapshot.retired_hiccups != 0 ||
+      snapshot.retired_completed != 0) {
+    payload += "\nretiredtotals ";
+    AppendInt(payload, snapshot.retired_served);
+    payload += ' ';
+    AppendInt(payload, snapshot.retired_hiccups);
+    payload += ' ';
+    AppendInt(payload, snapshot.retired_completed);
+  }
   payload += "\nmap ";
   AppendInt(payload, snapshot.next_member);
   payload += ' ';
@@ -516,7 +503,7 @@ StatusOr<ClusterSnapshot> DecodeClusterSnapshot(std::string_view document) {
   PayloadReader reader(payload);
   while (!reader.done()) {
     const std::string_view line = reader.NextLine();
-    const std::vector<std::string_view> fields = SplitFields(line);
+    const std::vector<std::string_view> fields = SplitTokens(line);
     if (fields.empty()) {
       continue;
     }
@@ -528,6 +515,11 @@ StatusOr<ClusterSnapshot> DecodeClusterSnapshot(std::string_view document) {
     } else if (key == "retiredlatencies" && fields.size() >= 2) {
       SCADDAR_RETURN_IF_ERROR(
           ParseLatencies(fields, snapshot.retired_latencies));
+    } else if (key == "retiredtotals" && fields.size() == 4) {
+      SCADDAR_ASSIGN_OR_RETURN(snapshot.retired_served, ParseInt(fields[1]));
+      SCADDAR_ASSIGN_OR_RETURN(snapshot.retired_hiccups, ParseInt(fields[2]));
+      SCADDAR_ASSIGN_OR_RETURN(snapshot.retired_completed,
+                               ParseInt(fields[3]));
     } else if (key == "map" && fields.size() >= 4) {
       SCADDAR_ASSIGN_OR_RETURN(const int64_t next_member, ParseInt(fields[1]));
       SCADDAR_ASSIGN_OR_RETURN(snapshot.map_epoch, ParseInt(fields[2]));

@@ -127,9 +127,13 @@ struct ClusterSnapshot {
   std::vector<ClusterSnapshotShard> shards;      // Creation order.
   int64_t round = 0;
   int64_t handoff_rejects = 0;
-  // Startup latencies of destroyed shards. Written only when non-empty;
-  // a document without the line decodes as empty.
+  // Startup latencies and stream counters of destroyed shards. Each line is
+  // written only when non-empty or non-zero; a document without it decodes
+  // as empty or zero.
   std::vector<int64_t> retired_latencies;
+  int64_t retired_served = 0;
+  int64_t retired_hiccups = 0;
+  int64_t retired_completed = 0;
 };
 
 std::string EncodeClusterSnapshot(const ClusterSnapshot& snapshot);

@@ -68,6 +68,7 @@ void MigrationExecutor::ClearQueue() {
 void MigrationExecutor::Reset() {
   ClearQueue();
   pending_per_object_.clear();
+  lost_.clear();
   crashed_ = false;
 }
 
@@ -82,14 +83,12 @@ void MigrationExecutor::EnqueueReconciliation(const BlockStore& store,
   policy.PrepareForBatch();
   std::vector<PhysicalDiskId> targets;
   for (const auto& [id, x0] : policy.objects_view()) {
-    const auto blocks = static_cast<BlockIndex>(x0.size());
-    if (blocks == 0) {
-      continue;
-    }
-    targets.resize(static_cast<size_t>(blocks));
-    policy.LocateRange(id, 0, blocks, std::span<PhysicalDiskId>(targets));
+    // The row holds every copy of every block, so it sizes the pass.
     const StatusOr<std::span<const PhysicalDiskId>> row = store.LocationsOf(id);
     SCADDAR_CHECK(row.ok());
+    const auto blocks = static_cast<BlockIndex>(row->size());
+    targets.resize(static_cast<size_t>(blocks));
+    policy.LocateRange(id, 0, blocks, std::span<PhysicalDiskId>(targets));
     for (BlockIndex i = 0; i < blocks; ++i) {
       if ((*row)[static_cast<size_t>(i)] != targets[static_cast<size_t>(i)]) {
         Push(BlockRef{id, i});
@@ -105,7 +104,8 @@ bool MigrationExecutor::Stale(const BlockStore& store,
 }
 
 void MigrationExecutor::Resolve(const BlockStore& store,
-                                const PlacementPolicy& policy, bool compact) {
+                                const PlacementPolicy& policy,
+                                const DiskArray& disks, bool compact) {
   if (compact && dead_ > 0) {
     std::erase_if(entries_,
                   [](const Entry& entry) { return entry.bucket == kRetired; });
@@ -132,7 +132,10 @@ void MigrationExecutor::Resolve(const BlockStore& store,
   // One batch AF() pass per object over its distinct in-range blocks; the
   // source is the live store row.
   buckets_.clear();
-  std::map<std::pair<PhysicalDiskId, PhysicalDiskId>, int32_t> bucket_of;
+  std::map<std::tuple<PhysicalDiskId, PhysicalDiskId, PhysicalDiskId>,
+           int32_t>
+      bucket_of;
+  const bool any_failed = !disks.failed_ids().empty();
   policy.PrepareForBatch();
   std::vector<BlockIndex> blocks;
   std::vector<PhysicalDiskId> targets;
@@ -152,6 +155,20 @@ void MigrationExecutor::Resolve(const BlockStore& store,
         row.ok() ? *row : std::span<const PhysicalDiskId>();
     const auto in_row = [&locations](BlockIndex block) {
       return block >= 0 && block < static_cast<BlockIndex>(locations.size());
+    };
+    // Every copy of a block (rows `r*B + i`) holds its bytes, so a
+    // transfer reads the first one not on a failed disk; with none left,
+    // the block is lost.
+    const int64_t copies = row.ok() ? policy.CopiesOf(object) : 1;
+    const auto num_rows = static_cast<BlockIndex>(locations.size());
+    const BlockIndex stride = num_rows / copies;
+    const auto read_from = [&](BlockIndex block) {
+      for (BlockIndex k = block % stride; k < num_rows; k += stride) {
+        if (!disks.IsFailed(locations[static_cast<size_t>(k)])) {
+          return locations[static_cast<size_t>(k)];
+        }
+      }
+      return PhysicalDiskId{-1};
     };
     blocks.clear();
     for (size_t k = i; k < j; ++k) {
@@ -176,12 +193,21 @@ void MigrationExecutor::Resolve(const BlockStore& store,
       if (in_row(block)) {
         const PhysicalDiskId source = locations[static_cast<size_t>(block)];
         const PhysicalDiskId target = targets[next_target++];
-        if (source != target) {
+        const PhysicalDiskId via =
+            copies > 1 || any_failed ? read_from(block) : source;
+        if (via < 0) {
+          // Lost: the entries leave the queue, but the row keeps
+          // disagreeing with AF(), so the object stays pending.
+          if (lost_.emplace(object, block).second) {
+            ++pending_per_object_[object];
+          }
+        } else if (source != target) {
           const auto [it, inserted] = bucket_of.try_emplace(
-              {source, target}, static_cast<int32_t>(buckets_.size()));
+              {source, via, target}, static_cast<int32_t>(buckets_.size()));
           if (inserted) {
             Bucket& fresh = buckets_.emplace_back();
             fresh.source = source;
+            fresh.via = via;
             fresh.target = target;
           }
           bucket = it->second;
@@ -265,7 +291,7 @@ int64_t MigrationExecutor::RunRound(std::span<int64_t> budget,
     return 0;
   }
   if (Stale(store, policy) || dead_ > live_) {
-    Resolve(store, policy, /*compact=*/true);
+    Resolve(store, policy, disks, /*compact=*/true);
   }
   FaultInjector* const injector = disks.fault_injector();
   // Entries a fault hook queues mid-round wait for the next round.
@@ -289,7 +315,7 @@ int64_t MigrationExecutor::RunRound(std::span<int64_t> budget,
   std::vector<Head> heads;
   const auto push_head = [&](int32_t b) {
     const Bucket& bucket = buckets_[static_cast<size_t>(b)];
-    if (!has_budget(bucket.source) || !has_budget(bucket.target)) {
+    if (!has_budget(bucket.via) || !has_budget(bucket.target)) {
       return;
     }
     const int32_t slot = PeekBucket(b);
@@ -337,6 +363,7 @@ int64_t MigrationExecutor::RunRound(std::span<int64_t> budget,
     int32_t slot = 0;
     BlockRef ref;
     PhysicalDiskId from = 0;
+    PhysicalDiskId via = 0;
     PhysicalDiskId to = 0;
     int64_t ordinal = -1;  // Injector move ordinal at stage time.
   };
@@ -353,7 +380,7 @@ int64_t MigrationExecutor::RunRound(std::span<int64_t> budget,
       push_head(b);  // Left the bucket after it was peeked.
       continue;
     }
-    if (!has_budget(buckets_[static_cast<size_t>(b)].source) ||
+    if (!has_budget(buckets_[static_cast<size_t>(b)].via) ||
         !has_budget(buckets_[static_cast<size_t>(b)].target)) {
       continue;  // Dry: the rest of the bucket waits for a later round.
     }
@@ -362,6 +389,7 @@ int64_t MigrationExecutor::RunRound(std::span<int64_t> budget,
 
     const BlockRef ref = entries_[static_cast<size_t>(slot)].ref;
     PhysicalDiskId current = buckets_[static_cast<size_t>(b)].source;
+    PhysicalDiskId via = buckets_[static_cast<size_t>(b)].via;
     PhysicalDiskId target = buckets_[static_cast<size_t>(b)].target;
     if (injector != nullptr) {
       injector->BeginMove();  // May fire a hook that applies a scaling op.
@@ -369,7 +397,7 @@ int64_t MigrationExecutor::RunRound(std::span<int64_t> budget,
       // queue, re-resolve every entry and restart the pass right after
       // this one, so no move chases a stale target.
       if (Stale(store, policy)) {
-        Resolve(store, policy, /*compact=*/false);
+        Resolve(store, policy, disks, /*compact=*/false);
         resolved_mid_round = true;
         seed(slot);
         RetireInPlace(slot, end);
@@ -379,18 +407,19 @@ int64_t MigrationExecutor::RunRound(std::span<int64_t> budget,
           continue;
         }
         current = buckets_[static_cast<size_t>(b)].source;
+        via = buckets_[static_cast<size_t>(b)].via;
         target = buckets_[static_cast<size_t>(b)].target;
-        if (!has_budget(current) || !has_budget(target)) {
+        if (!has_budget(via) || !has_budget(target)) {
           continue;  // No bandwidth this round for the new target.
         }
       }
     }
-    spend(current, 1);
+    spend(via, 1);
     spend(target, 1);
-    if (injector != nullptr && injector->FailTransfer(current, target)) {
+    if (injector != nullptr && injector->FailTransfer(via, target)) {
       // Transient I/O error: the attempt burned its bandwidth; the entry
       // stays queued and retries in a later round (the executor's backoff).
-      record_transient_error(current, target);
+      record_transient_error(via, target);
       continue;
     }
     if (journal_ == nullptr) {
@@ -409,7 +438,7 @@ int64_t MigrationExecutor::RunRound(std::span<int64_t> budget,
       // wants, and otherwise waits for the next round.
       const StatusOr<PhysicalDiskId> staged_to = store.StagedTarget(ref);
       if (staged_to.ok()) {
-        spend(current, -1);
+        spend(via, -1);
         spend(target, -1);
         if (*staged_to == target) {
           Retire(slot);
@@ -428,7 +457,7 @@ int64_t MigrationExecutor::RunRound(std::span<int64_t> budget,
         // The backend refused the stage (disk open failure and friends):
         // transient, like a failed transfer — close the intent and retry.
         journal_->MarkAborted(entry);
-        record_transient_error(current, target);
+        record_transient_error(via, target);
         continue;
       }
       SCADDAR_CHECK(staged.ok());
@@ -438,7 +467,7 @@ int64_t MigrationExecutor::RunRound(std::span<int64_t> budget,
       }
       Retire(slot);
       staged_moves.push_back(StagedMove{
-          entry, slot, ref, current, target,
+          entry, slot, ref, current, via, target,
           injector != nullptr ? injector->current_move() : -1});
       continue;  // Transfers are recorded when the copy lands.
     } else {
@@ -467,7 +496,7 @@ int64_t MigrationExecutor::RunRound(std::span<int64_t> budget,
       }
     }
     store_revision_ = store.mutation_revision();
-    disks.GetDisk(current).value()->RecordMigrationTransfers(1);
+    disks.GetDisk(via).value()->RecordMigrationTransfers(1);
     disks.GetDisk(target).value()->RecordMigrationTransfers(1);
     ++moved;
     ++total_moved_;
@@ -495,7 +524,7 @@ int64_t MigrationExecutor::RunRound(std::span<int64_t> budget,
       if (copy_failed(m.ref)) {
         SCADDAR_CHECK(store.AbortStagedCopy(m.ref).ok());
         journal_->MarkAborted(m.entry);
-        record_transient_error(m.from, m.to);
+        record_transient_error(m.via, m.to);
         Push(m.ref);
         continue;
       }
@@ -511,7 +540,7 @@ int64_t MigrationExecutor::RunRound(std::span<int64_t> budget,
       if (crash_at(MovePhase::kCommitLogged)) {
         return moved;
       }
-      disks.GetDisk(m.from).value()->RecordMigrationTransfers(1);
+      disks.GetDisk(m.via).value()->RecordMigrationTransfers(1);
       disks.GetDisk(m.to).value()->RecordMigrationTransfers(1);
       ++moved;
       ++total_moved_;

@@ -2,6 +2,7 @@
 #define SCADDAR_SERVER_MIGRATION_H_
 
 #include <cstdint>
+#include <set>
 #include <span>
 #include <unordered_map>
 #include <vector>
@@ -85,10 +86,10 @@ class MigrationExecutor {
   /// Queues every block of an RF() plan.
   void EnqueuePlan(const MovePlan& plan);
 
-  /// Queues every block whose materialized location diverges from
-  /// `policy.Locate` — reconciliation after one or more scaling operations.
+  /// Queues every row (block copy) whose materialized location diverges
+  /// from AF() — reconciliation after scaling operations and disk failures.
   /// One in-order pass over `policy.objects_view()`: targets come from the
-  /// per-object batch AF(), compared against the store row.
+  /// per-object batch AF() over the whole store row, copies included.
   void EnqueueReconciliation(const BlockStore& store,
                              const PlacementPolicy& policy);
 
@@ -106,9 +107,9 @@ class MigrationExecutor {
 
   int64_t pending() const { return live_; }
 
-  /// Queued entries referencing `object` — O(1). The serving-path cursors
-  /// use this to pick their refill source: zero pending moves for an object
-  /// means its store row agrees with AF(), so the count must be exact.
+  /// Queued entries referencing `object`, plus its lost rows — O(1). The
+  /// serving-path cursors use this to pick their refill source: zero means
+  /// the object's store row agrees with AF(), so the count must be exact.
   int64_t pending_for(ObjectId object) const;
 
   bool idle() const { return live_ == 0; }
@@ -135,11 +136,15 @@ class MigrationExecutor {
     int32_t next_copy = 0;  // Ring over the entries of the same block.
   };
 
-  /// The entries resolved to one (source, target) pair, in queue order.
-  /// `slots` may still list entries that left the bucket since; they are
-  /// dropped when a round passes them.
+  /// The entries resolved to one (source, via, target) triple, in queue
+  /// order. `source` is where the row says the copy is; `via` is the disk
+  /// read and charged for the transfer: the block's first copy not on a
+  /// failed disk (every copy holds the same bytes), which for a one-copy
+  /// object is the source itself. `slots` may still list entries that left
+  /// the bucket since; they are dropped when a round passes them.
   struct Bucket {
     PhysicalDiskId source = 0;
+    PhysicalDiskId via = 0;
     PhysicalDiskId target = 0;
     std::vector<int32_t> slots;
     size_t head = 0;  // slots[0, head) are spent.
@@ -149,8 +154,11 @@ class MigrationExecutor {
   void Push(BlockRef ref);
   void Retire(int32_t slot);
   bool Stale(const BlockStore& store, const PlacementPolicy& policy) const;
+  /// Resolves every queued entry to its bucket. A row with no healthy
+  /// copy of its block left is lost: its entries retire and `lost_` keeps
+  /// it pending.
   void Resolve(const BlockStore& store, const PlacementPolicy& policy,
-               bool compact);
+               const DiskArray& disks, bool compact);
   /// Queue position of bucket `b`'s next entry at or after its cursor
   /// (INT32_MAX when none), skipping entries that left the bucket.
   int32_t PeekBucket(int32_t b);
@@ -168,6 +176,9 @@ class MigrationExecutor {
   std::vector<Bucket> buckets_;
   std::vector<int32_t> in_place_;  // kInPlace slots.
   std::unordered_map<ObjectId, int64_t> pending_per_object_;
+  // Rows whose every copy sits on a failed disk. Each adds one to its
+  // object's pending count until `Reset`.
+  std::set<std::pair<ObjectId, BlockIndex>> lost_;
   int64_t live_ = 0;
   int64_t dead_ = 0;  // kRetired entries still holding a slot.
   bool dirty_ = false;

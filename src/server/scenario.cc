@@ -11,6 +11,7 @@
 #include "recovery/checkpoint_manager.h"
 #include "server/workload/traffic_engine.h"
 #include "stats/percentile.h"
+#include "util/tokens.h"
 
 namespace scaddar {
 namespace {
@@ -19,32 +20,8 @@ using Tokens = std::vector<std::string_view>;
 
 // --- Lexing and argument parsing. ------------------------------------------
 
-Tokens Tokenize(std::string_view line) {
-  Tokens tokens;
-  size_t pos = 0;
-  while (pos < line.size()) {
-    while (pos < line.size() && line[pos] == ' ') {
-      ++pos;
-    }
-    const size_t start = pos;
-    while (pos < line.size() && line[pos] != ' ') {
-      ++pos;
-    }
-    if (pos > start) {
-      tokens.push_back(line.substr(start, pos - start));
-    }
-  }
-  return tokens;
-}
-
 StatusOr<int64_t> ParseInt(std::string_view token) {
-  int64_t value = 0;
-  const auto [ptr, ec] =
-      std::from_chars(token.data(), token.data() + token.size(), value);
-  if (ec != std::errc() || ptr != token.data() + token.size()) {
-    return InvalidArgumentError("malformed integer");
-  }
-  return value;
+  return ParseIntToken(token, "");
 }
 
 StatusOr<double> ParseDouble(std::string_view token) {
@@ -501,7 +478,7 @@ StatusOr<ScenarioResult> Interpret(Target& target, std::string_view script) {
     const std::string_view line = script.substr(0, eol);
     script = eol == std::string_view::npos ? std::string_view()
                                            : script.substr(eol + 1);
-    const Tokens tokens = Tokenize(line.substr(0, line.find('#')));
+    const Tokens tokens = SplitTokens(line.substr(0, line.find('#')));
     if (tokens.empty()) {
       continue;
     }

@@ -18,6 +18,7 @@ class BlockIoEngine;
 struct RoundServiceResult {
   int64_t requests = 0;
   int64_t served = 0;
+  int64_t served_degraded = 0;  // Of `served`: read from a non-primary copy.
   int64_t hiccups = 0;
 };
 
@@ -25,7 +26,10 @@ struct RoundServiceResult {
 /// block; the request is routed to the disk that *materially* holds the
 /// block (the block store — not the placement target, which may differ
 /// mid-migration). A disk serves at most its per-round bandwidth; overflow
-/// requests hiccup and the stream retries next round.
+/// requests hiccup and the stream retries next round. For an object with
+/// several copies, a request whose primary disk has failed, has no budget
+/// left or hits an injected read error falls back to copies 1..R-1 in
+/// order; only a block with no readable copy hiccups.
 ///
 /// Streams consume locations from their `LocationCursor` sliding windows
 /// (batch-prefetched, revision-invalidated; the store row while the object

@@ -114,7 +114,15 @@ Status CmServer::SyncDisks() {
 }
 
 Status CmServer::AddObject(ObjectId id, int64_t num_blocks,
-                           int64_t bitrate_weight) {
+                           int64_t bitrate_weight, int64_t replicas) {
+  if (replicas < 1 || replicas > policy_->current_disks()) {
+    return InvalidArgumentError(
+        "replica count must be in [1, current disks]");
+  }
+  if (replicas > 1 && io_engine_ != nullptr) {
+    return FailedPreconditionError(
+        "replicated objects live on the simulated tier only");
+  }
   SCADDAR_RETURN_IF_ERROR(
       catalog_.AddObject(id, num_blocks, bitrate_weight));
   // Unwind the catalog if any later layer refuses, so a failed ingest
@@ -124,12 +132,13 @@ Status CmServer::AddObject(ObjectId id, int64_t num_blocks,
     SCADDAR_CHECK(catalog_.RemoveObject(id).ok());
     return x0.status();
   }
-  const Status registered = policy_->AddObject(id, std::move(x0).value());
+  const Status registered =
+      policy_->AddObject(id, std::move(x0).value(), replicas);
   if (!registered.ok()) {
     SCADDAR_CHECK(catalog_.RemoveObject(id).ok());
     return registered;
   }
-  // One batch pass resolves the whole initial placement.
+  // One batch pass resolves the whole initial placement, copies included.
   std::vector<PhysicalDiskId> locations;
   policy_->LocateAllBlocks(id, locations);
   const Status placed = store_.PlaceObject(id, locations);
@@ -167,6 +176,13 @@ Status CmServer::ScaleAdd(int64_t count) {
 Status CmServer::ScaleRemove(std::vector<DiskSlot> slots) {
   SCADDAR_ASSIGN_OR_RETURN(const ScalingOp op,
                            ScalingOp::Remove(std::move(slots)));
+  const int64_t copies = policy_->MaxCopies();
+  const int64_t left = policy_->current_disks() -
+                       static_cast<int64_t>(op.removed_slots().size());
+  if (copies > 1 && left < copies) {
+    return FailedPreconditionError(
+        "the removal would leave fewer disks than replicas");
+  }
   // A rebase here is safe for the slot numbers below: the fresh policy's
   // epoch 0 addresses the same physical disks in the same order.
   SCADDAR_RETURN_IF_ERROR(MaybeRebaseBeforeOp(op));
@@ -188,6 +204,53 @@ Status CmServer::ScaleRemove(std::vector<DiskSlot> slots) {
   SCADDAR_RETURN_IF_ERROR(SyncDisks());
   migration_.EnqueueReconciliation(store_, *policy_);
   return MetadataBarrier();
+}
+
+Status CmServer::FailDisk(PhysicalDiskId disk) {
+  if (io_engine_ != nullptr || checkpoint_ != nullptr) {
+    return FailedPreconditionError(
+        "unplanned failures are simulated without a real backend or "
+        "checkpoints");
+  }
+  if (disks_.IsFailed(disk)) {
+    return FailedPreconditionError("disk already failed");
+  }
+  const std::vector<PhysicalDiskId>& live = policy_->log().physical_disks();
+  const auto it = std::find(live.begin(), live.end(), disk);
+  if (it == live.end()) {
+    return NotFoundError("disk is not part of the placement");
+  }
+  if (static_cast<int64_t>(live.size()) - 1 < policy_->MaxCopies()) {
+    return FailedPreconditionError(
+        "failing this disk would leave fewer disks than replicas");
+  }
+  SCADDAR_ASSIGN_OR_RETURN(
+      const ScalingOp op,
+      ScalingOp::Remove({static_cast<DiskSlot>(it - live.begin())}));
+  SCADDAR_RETURN_IF_ERROR(policy_->ApplyOp(op));
+  // The dead disk leaves the array with its copies still charged; each
+  // one releases it as the reconciliation re-homes it.
+  SCADDAR_RETURN_IF_ERROR(disks_.Fail(disk));
+  migration_.EnqueueReconciliation(store_, *policy_);
+  return OkStatus();
+}
+
+int64_t CmServer::UnreadableBlocks() const {
+  if (disks_.failed_ids().empty()) {
+    return 0;
+  }
+  int64_t unreadable = 0;
+  for (const auto& [id, x0] : policy_->objects_view()) {
+    const std::span<const PhysicalDiskId> row = store_.LocationsOf(id).value();
+    for (size_t i = 0; i < x0.size(); ++i) {
+      bool readable = false;
+      for (size_t k = i; k < row.size() && !readable; k += x0.size()) {
+        readable = !disks_.IsFailed(row[k]);
+      }
+      unreadable += readable ? 0 : 1;
+    }
+  }
+  return unreadable;
 }
 
 bool CmServer::WouldExceedTolerance(const ScalingOp& op) const {
@@ -212,7 +275,8 @@ Status CmServer::FullRedistribution() {
   for (const ObjectId id : catalog_.object_ids()) {
     SCADDAR_ASSIGN_OR_RETURN(std::vector<uint64_t> x0,
                              catalog_.MaterializeX0(id));
-    SCADDAR_RETURN_IF_ERROR(fresh->AddObject(id, std::move(x0)));
+    SCADDAR_RETURN_IF_ERROR(
+        fresh->AddObject(id, std::move(x0), policy_->CopiesOf(id)));
   }
   policy_ = std::move(fresh);
   // 3. Converge materialized state onto the new placement, online.
@@ -245,7 +309,8 @@ Stream& CmServer::AppendStream(int64_t id, ObjectId object,
   SCADDAR_DCHECK(streams_.empty() || streams_.back().id() < id);
   committed_load_ += rate;
   ++streams_per_object_[object];
-  return streams_.emplace_back(id, object, num_blocks, start_round, rate);
+  return streams_.emplace_back(id, object, num_blocks, start_round, rate,
+                               policy_->CopiesOf(object));
 }
 
 Stream* CmServer::FindStream(int64_t stream_id) {
@@ -296,6 +361,11 @@ RoundMetrics CmServer::Tick() {
   }
   if (FaultInjector* const injector = disks_.fault_injector()) {
     injector->BeginRound(round_);
+    // A refused scheduled failure (unknown or dead disk, too few
+    // survivors) hit nothing: the schedule is random.
+    for (const PhysicalDiskId disk : injector->TakeDiskFailures()) {
+      (void)FailDisk(disk);
+    }
   }
 
   std::vector<int64_t> leftover;
@@ -303,6 +373,7 @@ RoundMetrics CmServer::Tick() {
       streams_, *policy_, migration_, store_, disks_, &leftover);
   metrics.requests = service.requests;
   metrics.served = service.served;
+  metrics.served_degraded = service.served_degraded;
   metrics.hiccups = service.hiccups;
   total_served_ += service.served;
   total_hiccups_ += service.hiccups;
@@ -517,11 +588,12 @@ StatusOr<JournalRecoveryStats> CmServer::SimulateCrashRestart() {
                            journal_.Recover(store_));
   journal_.Compact();
   // Recompute the retiring set from durable state: a disk still holding
-  // blocks but absent from the placement live set is mid-drain.
+  // blocks but absent from the placement live set is mid-drain, unless it
+  // failed.
   retiring_.clear();
   const std::vector<PhysicalDiskId>& live = policy_->log().physical_disks();
   for (const auto& [disk, count] : store_.per_disk_counts()) {
-    if (count > 0 &&
+    if (count > 0 && !disks_.IsFailed(disk) &&
         std::find(live.begin(), live.end(), disk) == live.end()) {
       retiring_.push_back(disk);
     }
@@ -544,6 +616,12 @@ Status CmServer::AttachCheckpointManager(CheckpointManager* manager) {
     return FailedPreconditionError(
         "checkpointing covers the simulated tier; the real-I/O engine "
         "persists its own layout and journal");
+  }
+  for (const PhysicalDiskId disk : disks_.failed_ids()) {
+    if (store_.CountOn(disk) > 0) {
+      return FailedPreconditionError(
+          "a failed disk still holds copies; a snapshot cannot record it");
+    }
   }
   checkpoint_ = manager;
   // Checkpoint restart replays the WAL over snapshot rows; every move must
@@ -683,8 +761,12 @@ Status CmServer::LoadFromState(const ServerSnapshot& snapshot,
       return InvalidArgumentError(
           "object registration epoch outside the op log");
     }
-    if (static_cast<int64_t>(record.row.size()) != record.num_blocks) {
-      return InvalidArgumentError("snapshot row length != object size");
+    // The row holds every copy of every block: its length is a whole
+    // multiple of the object's size, and that multiple is the copy count.
+    if (record.num_blocks <= 0 || record.row.empty() ||
+        static_cast<int64_t>(record.row.size()) % record.num_blocks != 0) {
+      return InvalidArgumentError(
+          "snapshot row length is not a whole number of copies");
     }
   }
   for (size_t i = 1; i < snapshot.streams.size(); ++i) {
@@ -713,7 +795,9 @@ Status CmServer::LoadFromState(const ServerSnapshot& snapshot,
           catalog_.SetGeneration(record.id, record.generation));
       SCADDAR_ASSIGN_OR_RETURN(std::vector<uint64_t> x0,
                                catalog_.MaterializeX0(record.id));
-      SCADDAR_RETURN_IF_ERROR(policy_->AddObject(record.id, std::move(x0)));
+      SCADDAR_RETURN_IF_ERROR(policy_->AddObject(
+          record.id, std::move(x0),
+          static_cast<int64_t>(record.row.size()) / record.num_blocks));
     }
     if (j < script.num_ops()) {
       SCADDAR_RETURN_IF_ERROR(policy_->ApplyOp(script.op(j + 1)));

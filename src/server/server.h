@@ -64,6 +64,7 @@ struct RoundMetrics {
   int64_t active_streams = 0;
   int64_t requests = 0;
   int64_t served = 0;
+  int64_t served_degraded = 0;  // Of `served`: read from a non-primary copy.
   int64_t hiccups = 0;
   int64_t migrated = 0;
   int64_t pending_migration = 0;
@@ -80,6 +81,13 @@ struct RoundMetrics {
 ///  - `PlacementPolicy`: where blocks *should* be (AF);
 ///  - `BlockStore` + `DiskArray`: where blocks *are*, and the hardware;
 ///  - `MigrationExecutor`: converges the two after scaling operations.
+///
+/// Replication (Section 6) is a placement concern: an object may keep R
+/// copies of every block, copy `r` of block `i` at row `r*B + i` of its
+/// store row and at AF()'s offset target. An unplanned disk failure
+/// (`FailDisk`) is a removal with nothing to drain: reads fall back to the
+/// surviving copies, and the ordinary reconciliation re-homes every lost
+/// copy from a healthy one.
 class CmServer {
  public:
   /// Builds an idle server with `config.initial_disks` empty disks.
@@ -91,9 +99,12 @@ class CmServer {
   ~CmServer();
 
   /// Ingests a new CM object: derives its seed, materializes `X0`, places
-  /// its blocks per the policy and writes them to the store.
+  /// its blocks per the policy and writes them to the store, `replicas`
+  /// copies of each (in [1, current disks], else InvalidArgument). More
+  /// than one copy needs the SCADDAR policy (Unimplemented otherwise) and
+  /// the simulated tier (FailedPrecondition on a real backend).
   Status AddObject(ObjectId id, int64_t num_blocks,
-                   int64_t bitrate_weight = 1);
+                   int64_t bitrate_weight = 1, int64_t replicas = 1);
 
   /// Deletes an object and frees its blocks. Refused while any active
   /// stream is playing it (FailedPrecondition).
@@ -108,6 +119,21 @@ class CmServer {
   /// slots (online). The physical disks keep serving reads until drained,
   /// then retire.
   Status ScaleRemove(std::vector<DiskSlot> slots);
+
+  /// Unplanned failure: the placement disk `disk` dies at once. It serves
+  /// and sources nothing from now on; its slot is removed from placement
+  /// and every copy it held is queued for re-homing from a healthy copy of
+  /// its block (a block with none is lost, see `UnreadableBlocks`). NotFound
+  /// unless `disk` is a placement disk; FailedPrecondition if it already
+  /// failed, if fewer disks than the largest replica count would be left,
+  /// or while a real backend or a checkpoint manager is attached (neither
+  /// records failed disks). `Tick` also fails the disks an attached fault
+  /// injector schedules.
+  Status FailDisk(PhysicalDiskId disk);
+
+  /// Blocks with no copy left off failed disks (0 unless a failure hit
+  /// every copy of a block before it was re-homed).
+  int64_t UnreadableBlocks() const;
 
   /// True iff appending `op` would break the Lemma 4.3 tolerance for this
   /// server's `b` and `eps` — callers should then `FullRedistribution()`
@@ -172,8 +198,10 @@ class CmServer {
   /// Jumps the stream to `block` (clamped into the object's range).
   Status SeekStream(int64_t stream_id, BlockIndex block);
 
-  /// Verifies that the materialized store matches AF() (meaningful when no
-  /// migration is pending — otherwise reports FailedPrecondition).
+  /// Verifies that the materialized store matches AF() — every copy of
+  /// every block on its target, which also proves full redundancy
+  /// (meaningful when no migration is pending — otherwise reports
+  /// FailedPrecondition).
   Status VerifyIntegrity() const;
 
   // --- Multi-level checkpoint/restart (src/recovery). -------------------
@@ -181,8 +209,10 @@ class CmServer {
   /// owns it — its locations are the durable state that survives a
   /// kill/restart. Attachment forces the move journal on (checkpoint
   /// restart replays the WAL over snapshot rows) and is refused while a
-  /// real-I/O engine is selected: the engine persists its own layout and
-  /// journal; checkpointing covers the metadata-simulation tier.
+  /// real-I/O engine is selected (the engine persists its own layout and
+  /// journal; checkpointing covers the metadata-simulation tier) or while a
+  /// failed disk still holds copies (a snapshot cannot tell it from a
+  /// draining one).
   Status AttachCheckpointManager(CheckpointManager* manager);
 
   /// Attaches `manager` and turns on periodic checkpoints: an L1 set every
@@ -324,7 +354,7 @@ class CmServer {
   explicit CmServer(const ServerConfig& config);
 
   /// Appends a stream (its id above every current one) and charges its
-  /// rate and object refcount.
+  /// rate and object refcount. The stream reads the object's copy count.
   Stream& AppendStream(int64_t id, ObjectId object, int64_t num_blocks,
                        int64_t start_round, int64_t rate);
 

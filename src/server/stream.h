@@ -20,13 +20,15 @@ class Stream {
  public:
   /// `rate` is the stream's bandwidth in blocks per round (>= 1): a
   /// double-rate object consumes two blocks every round. Defaults to 1.
+  /// `copies` is the object's copy count; reads fall back across copies.
   Stream(int64_t id, ObjectId object, int64_t num_blocks, int64_t start_round,
-         int64_t rate = 1)
+         int64_t rate = 1, int64_t copies = 1)
       : id_(id),
         object_(object),
         num_blocks_(num_blocks),
         start_round_(start_round),
         rate_(rate),
+        copies_(static_cast<int32_t>(copies)),
         cursor_(object, num_blocks) {}
 
   int64_t id() const { return id_; }
@@ -75,6 +77,9 @@ class Stream {
   /// Blocks this stream must receive per round to avoid a hiccup.
   int64_t rate() const { return rate_; }
 
+  /// Copies of every block of the object.
+  int64_t copies() const { return copies_; }
+
   /// The stream's prefetch window over its object's serving locations.
   LocationCursor& cursor() { return cursor_; }
   const LocationCursor& cursor() const { return cursor_; }
@@ -89,6 +94,9 @@ class Stream {
   int64_t hiccups_ = 0;
   bool paused_ = false;
   bool playback_started_ = false;
+  // Beside the flags, in what would be padding: a copy count never exceeds
+  // the disk count, and the serving loop walks streams every round.
+  int32_t copies_;
   LocationCursor cursor_;
 };
 

@@ -1,10 +1,11 @@
 #include "storage/block_io.h"
 
 #include <algorithm>
-#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+
+#include "util/tokens.h"
 
 namespace scaddar {
 
@@ -29,31 +30,7 @@ uint64_t ImageSeed(BlockRef ref, uint64_t seed) {
 }
 
 StatusOr<int64_t> ParseInt(std::string_view token) {
-  int64_t value = 0;
-  const auto [ptr, ec] =
-      std::from_chars(token.data(), token.data() + token.size(), value);
-  if (ec != std::errc() || ptr != token.data() + token.size()) {
-    return InvalidArgumentError("malformed integer in layout");
-  }
-  return value;
-}
-
-std::vector<std::string_view> Split(std::string_view line) {
-  std::vector<std::string_view> tokens;
-  size_t pos = 0;
-  while (pos < line.size()) {
-    while (pos < line.size() && line[pos] == ' ') {
-      ++pos;
-    }
-    const size_t start = pos;
-    while (pos < line.size() && line[pos] != ' ') {
-      ++pos;
-    }
-    if (pos > start) {
-      tokens.push_back(line.substr(start, pos - start));
-    }
-  }
-  return tokens;
+  return ParseIntToken(token, "layout");
 }
 
 void AppendInt(std::string& out, int64_t value) {
@@ -627,7 +604,7 @@ Status BlockIoEngine::RestoreLayout(std::string_view text) {
     const std::string_view line = rest.substr(0, eol);
     rest = eol == std::string_view::npos ? std::string_view()
                                          : rest.substr(eol + 1);
-    const std::vector<std::string_view> tokens = Split(line);
+    const std::vector<std::string_view> tokens = SplitTokens(line);
     if (tokens.empty()) {
       continue;
     }

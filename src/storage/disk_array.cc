@@ -1,5 +1,7 @@
 #include "storage/disk_array.h"
 
+#include <algorithm>
+
 namespace scaddar {
 
 namespace {
@@ -14,6 +16,9 @@ Status DiskArray::SyncLiveSet(const std::vector<PhysicalDiskId>& live) {
   for (const PhysicalDiskId id : live) {
     if (id < 0) {
       return NegativeIdError();
+    }
+    if (IsFailed(id)) {
+      return FailedPreconditionError("a failed disk cannot return to service");
     }
   }
   for (const PhysicalDiskId id : live) {
@@ -37,6 +42,20 @@ Status DiskArray::SyncLiveSet(const std::vector<PhysicalDiskId>& live) {
   live_ = std::move(next_live);
   RebuildBudgets();
   return OkStatus();
+}
+
+Status DiskArray::Fail(PhysicalDiskId id) {
+  if (!IsLive(id)) {
+    return NotFoundError("only a live disk can fail");
+  }
+  live_[static_cast<size_t>(id)] = 0;
+  failed_.insert(std::upper_bound(failed_.begin(), failed_.end(), id), id);
+  RebuildBudgets();
+  return OkStatus();
+}
+
+bool DiskArray::IsFailed(PhysicalDiskId id) const {
+  return std::binary_search(failed_.begin(), failed_.end(), id);
 }
 
 Status DiskArray::AddDisk(PhysicalDiskId id, const DiskSpec& spec) {

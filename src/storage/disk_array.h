@@ -36,9 +36,21 @@ class DiskArray {
   /// Brings the array in sync with the live id set: creates missing disks
   /// with `default_spec_` and deactivates ids no longer present. Removal
   /// requires the disk to be empty (the migration must have drained it) —
-  /// fails with FailedPrecondition otherwise. Negative ids are
-  /// InvalidArgument.
+  /// fails with FailedPrecondition otherwise, as does naming a failed disk.
+  /// Negative ids are InvalidArgument.
   Status SyncLiveSet(const std::vector<PhysicalDiskId>& live);
+
+  /// Unplanned failure: the live disk `id` leaves the live set at once,
+  /// without draining. It serves and sources nothing from now on; its
+  /// occupancy stays charged until the copies it held are re-homed.
+  /// NotFound unless `id` is live.
+  Status Fail(PhysicalDiskId id);
+
+  /// True iff `id` failed; a failed disk never returns to service.
+  bool IsFailed(PhysicalDiskId id) const;
+
+  /// Failed disk ids in ascending order.
+  const std::vector<PhysicalDiskId>& failed_ids() const { return failed_; }
 
   /// Direct creation with a custom spec (heterogeneous extensions).
   Status AddDisk(PhysicalDiskId id, const DiskSpec& spec);
@@ -90,6 +102,7 @@ class DiskArray {
   std::vector<std::optional<SimDisk>> disks_;  // Indexed by physical id.
   std::vector<char> live_;                     // Parallel to `disks_`.
   std::vector<int64_t> budgets_;  // The `BandwidthBudgets` template.
+  std::vector<PhysicalDiskId> failed_;  // Sorted.
   int64_t num_live_ = 0;
 };
 

@@ -1,7 +1,8 @@
 #include "storage/move_journal.h"
 
-#include <charconv>
 #include <cstdio>
+
+#include "util/tokens.h"
 
 namespace scaddar {
 
@@ -10,31 +11,7 @@ namespace {
 constexpr std::string_view kHeader = "moves-v1";
 
 StatusOr<int64_t> ParseInt(std::string_view token) {
-  int64_t value = 0;
-  const auto [ptr, ec] =
-      std::from_chars(token.data(), token.data() + token.size(), value);
-  if (ec != std::errc() || ptr != token.data() + token.size()) {
-    return InvalidArgumentError("malformed integer in move journal");
-  }
-  return value;
-}
-
-std::vector<std::string_view> Split(std::string_view line) {
-  std::vector<std::string_view> tokens;
-  size_t pos = 0;
-  while (pos < line.size()) {
-    while (pos < line.size() && line[pos] == ' ') {
-      ++pos;
-    }
-    const size_t start = pos;
-    while (pos < line.size() && line[pos] != ' ') {
-      ++pos;
-    }
-    if (pos > start) {
-      tokens.push_back(line.substr(start, pos - start));
-    }
-  }
-  return tokens;
+  return ParseIntToken(token, "move journal");
 }
 
 }  // namespace
@@ -122,7 +99,7 @@ StatusOr<MoveJournal> MoveJournal::Deserialize(std::string_view text) {
     if (hash != std::string_view::npos) {
       line = line.substr(0, hash);
     }
-    const std::vector<std::string_view> tokens = Split(line);
+    const std::vector<std::string_view> tokens = SplitTokens(line);
     if (tokens.empty()) {
       continue;
     }

@@ -514,6 +514,54 @@ TEST(ClusterServerTest, CheckpointKeepsRetiredStartupSamples) {
   EXPECT_EQ(Sorted((*restored)->StartupLatencies()), Sorted(before));
 }
 
+TEST(ClusterServerTest, RetiredShardKeepsItsStreamCounters) {
+  auto cluster = ClusterServer::Create(SmallCluster(2)).value();
+  for (ObjectId id = 1; id <= 30; ++id) {
+    ASSERT_TRUE(cluster->AddObject(id, 60).ok());
+  }
+  const int member = cluster->AddServerShard().value();
+  DrainCluster(*cluster);
+  std::vector<ObjectId> owned;
+  for (ObjectId id = 1; id <= 30; ++id) {
+    if (cluster->OwnerOf(id) == member) {
+      owned.push_back(id);
+    }
+  }
+  ASSERT_FALSE(owned.empty());
+  for (size_t i = 0; i < 12; ++i) {
+    ASSERT_TRUE(cluster->StartStream(owned[i % owned.size()]).ok());
+  }
+  for (int round = 0; round < 1000 && cluster->active_streams() > 0;
+       ++round) {
+    cluster->Tick();
+  }
+  ASSERT_EQ(cluster->active_streams(), 0);
+  ASSERT_EQ(cluster->total_served(), 720);
+  ASSERT_EQ(cluster->completed_streams(), 12);
+  const int64_t hiccups = cluster->total_hiccups();
+
+  ASSERT_TRUE(cluster->RemoveServerShard(member).ok());
+  DrainCluster(*cluster);
+  ASSERT_EQ(cluster->shard(member), nullptr);
+  EXPECT_EQ(cluster->total_served(), 720);
+  EXPECT_EQ(cluster->completed_streams(), 12);
+  EXPECT_EQ(cluster->total_hiccups(), hiccups);
+
+  CheckpointManager manager;
+  ASSERT_TRUE(cluster->WriteCheckpoint(manager, 1).ok());
+  auto restored =
+      ClusterServer::RestoreFromCheckpoint(cluster->config(), manager);
+  ASSERT_TRUE(restored.ok()) << restored.status();
+  EXPECT_EQ((*restored)->total_served(), 720);
+  EXPECT_EQ((*restored)->completed_streams(), 12);
+  EXPECT_EQ((*restored)->total_hiccups(), hiccups);
+  // Documents without the line decode as zero.
+  auto fresh = ClusterServer::Create(SmallCluster(2)).value();
+  const std::string plain = fresh->EncodeCheckpoint().value();
+  EXPECT_EQ(plain.find("retiredtotals"), std::string::npos);
+  EXPECT_EQ(DecodeClusterSnapshot(plain).value().retired_served, 0);
+}
+
 TEST(ClusterServerTest, PerShardDiskScalingStaysOnline) {
   auto cluster = ClusterServer::Create(SmallCluster(2)).value();
   for (ObjectId id = 1; id <= 16; ++id) {

@@ -9,7 +9,6 @@
 #include "faults/injector.h"
 #include "random/distributions.h"
 #include "random/sequence.h"
-#include "server/ha_server.h"
 #include "server/server.h"
 
 namespace scaddar {
@@ -124,22 +123,21 @@ TEST_P(FuzzTest, ServerSurvivesRandomDriver) {
   EXPECT_TRUE(server->VerifyIntegrity().ok());
 }
 
-TEST_P(FuzzTest, HaServerNeverLosesDataUnderSingleFailures) {
+TEST_P(FuzzTest, ReplicatedServerNeverLosesDataUnderSingleFailures) {
   const uint64_t seed = GetParam() ^ 0x33;
   auto prng = MakePrng(PrngKind::kSplitMix64, seed);
-  HaServerConfig config;
-  config.base.initial_disks = 8;
-  config.base.master_seed = seed;
-  config.replicas = 2;
-  auto server = std::move(HaCmServer::Create(config)).value();
-  ASSERT_TRUE(server->AddObject(1, 1000).ok());
+  ServerConfig config;
+  config.initial_disks = 8;
+  config.master_seed = seed;
+  auto server = std::move(CmServer::Create(config)).value();
+  ASSERT_TRUE(server->AddObject(1, 1000, 1, /*replicas=*/2).ok());
   (void)server->StartStream(1);
   for (int round = 0; round < 300; ++round) {
     const double dice = UniformDouble(*prng);
     if (dice < 0.01) {
       // Fail a random live disk, but only when fully repaired (single
       // overlapping failure — the 2-way guarantee).
-      if (server->repairs_idle()) {
+      if (server->migration().idle()) {
         const std::vector<PhysicalDiskId>& live =
             server->policy().log().physical_disks();
         const PhysicalDiskId victim = live[static_cast<size_t>(
@@ -155,11 +153,11 @@ TEST_P(FuzzTest, HaServerNeverLosesDataUnderSingleFailures) {
     ASSERT_EQ(server->UnreadableBlocks(), 0);
   }
   int rounds = 0;
-  while (!server->repairs_idle()) {
+  while (!server->migration().idle()) {
     server->Tick();
     ASSERT_LT(++rounds, 100000);
   }
-  EXPECT_TRUE(server->VerifyRedundancy().ok());
+  EXPECT_TRUE(server->VerifyIntegrity().ok());
 }
 
 TEST_P(FuzzTest, ServerNeverLosesBlocksUnderRandomFaultSchedules) {
@@ -221,24 +219,23 @@ TEST_P(FuzzTest, ServerNeverLosesBlocksUnderRandomFaultSchedules) {
   EXPECT_TRUE(server->VerifyIntegrity().ok());
 }
 
-TEST_P(FuzzTest, HaServerSurvivesRandomFaultSchedules) {
+TEST_P(FuzzTest, ReplicatedServerSurvivesRandomFaultSchedules) {
   const uint64_t seed = GetParam() ^ 0x55;
-  HaServerConfig config;
-  config.base.initial_disks = 10;
-  config.base.master_seed = seed;
-  config.replicas = 2;
-  auto server = std::move(HaCmServer::Create(config)).value();
-  ASSERT_TRUE(server->AddObject(1, 800).ok());
+  ServerConfig config;
+  config.initial_disks = 10;
+  config.master_seed = seed;
+  auto server = std::move(CmServer::Create(config)).value();
+  ASSERT_TRUE(server->AddObject(1, 800, 1, /*replicas=*/2).ok());
   (void)server->StartStream(1);
   // Scheduled disk deaths (spaced wider than a rebuild takes, preserving
   // the single-overlapping-failure guarantee) plus transient read/transfer
-  // errors that the retry/backoff path must absorb.
+  // errors that the executor's re-queue must absorb.
   RandomScheduleOptions schedule_options;
   schedule_options.crashes = 0;
   schedule_options.disk_failures = 2;
   schedule_options.max_round = 100;
   schedule_options.failure_spacing = 400;
-  schedule_options.max_disk_id = config.base.initial_disks;
+  schedule_options.max_disk_id = config.initial_disks;
   schedule_options.transient_probability = 0.02;
   FaultInjector injector(FaultSchedule::Random(seed, schedule_options), seed);
   server->AttachFaultInjector(&injector);
@@ -247,12 +244,12 @@ TEST_P(FuzzTest, HaServerSurvivesRandomFaultSchedules) {
     ASSERT_EQ(server->UnreadableBlocks(), 0);
   }
   int rounds = 0;
-  while (!server->repairs_idle()) {
+  while (!server->migration().idle()) {
     server->Tick();
     ASSERT_LT(++rounds, 100000);
   }
   EXPECT_EQ(injector.disk_failures_fired(), 2);
-  EXPECT_TRUE(server->VerifyRedundancy().ok());
+  EXPECT_TRUE(server->VerifyIntegrity().ok());
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FuzzTest,

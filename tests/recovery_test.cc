@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "faults/replication.h"
 #include "random/sequence.h"
 
 namespace scaddar {
@@ -22,9 +23,10 @@ struct Scenario {
   Scenario(int64_t n0, int64_t blocks, DiskSlot failed_slot)
       : policy(n0) {
     SCADDAR_CHECK(policy.AddObject(1, MakeX0(9, blocks)).ok());
-    const MirroredPlacement mirror(&policy);
+    const ReplicatedPlacement mirror(&policy, 2);
     for (BlockIndex i = 0; i < blocks; ++i) {
-      before_copies[i] = {mirror.PrimaryOf(1, i), mirror.MirrorOf(1, i)};
+      before_copies[i] = {mirror.ReplicaOf(1, i, 0),
+                          mirror.ReplicaOf(1, i, 1)};
     }
     failed = policy.log().physical_disks()[static_cast<size_t>(failed_slot)];
     SCADDAR_CHECK(
@@ -91,11 +93,11 @@ TEST(RecoveryTest, ExecutionRestoresFullRedundancy) {
     copies[action.block.block].insert(action.write_to);
   }
   // Every block must now be present at its post-failure primary AND mirror.
-  const MirroredPlacement mirror(&scenario.policy);
+  const ReplicatedPlacement mirror(&scenario.policy, 2);
   for (const auto& [block, replicas] : copies) {
-    EXPECT_TRUE(replicas.contains(mirror.PrimaryOf(1, block)))
+    EXPECT_TRUE(replicas.contains(mirror.ReplicaOf(1, block, 0)))
         << "block " << block;
-    EXPECT_TRUE(replicas.contains(mirror.MirrorOf(1, block)))
+    EXPECT_TRUE(replicas.contains(mirror.ReplicaOf(1, block, 1)))
         << "block " << block;
   }
 }
@@ -110,10 +112,11 @@ TEST(RecoveryTest, LossAccountingMatchesPreFailureLayout) {
   int64_t expected_mirrors = 0;
   ScaddarPolicy reference(8);
   ASSERT_TRUE(reference.AddObject(1, MakeX0(9, 8000)).ok());
-  const MirroredPlacement mirror(&reference);
+  const ReplicatedPlacement mirror(&reference, 2);
   for (BlockIndex i = 0; i < 8000; ++i) {
-    expected_primaries += mirror.PrimaryOf(1, i) == scenario.failed ? 1 : 0;
-    expected_mirrors += mirror.MirrorOf(1, i) == scenario.failed ? 1 : 0;
+    expected_primaries +=
+        mirror.ReplicaOf(1, i, 0) == scenario.failed ? 1 : 0;
+    expected_mirrors += mirror.ReplicaOf(1, i, 1) == scenario.failed ? 1 : 0;
   }
   EXPECT_EQ(plan->lost_primaries, expected_primaries);
   EXPECT_EQ(plan->lost_mirrors, expected_mirrors);

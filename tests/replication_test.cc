@@ -4,7 +4,6 @@
 
 #include <gtest/gtest.h>
 
-#include "faults/mirror.h"
 #include "random/distributions.h"
 #include "random/sequence.h"
 #include "stats/chi_square.h"
@@ -26,7 +25,7 @@ TEST(ReplicaOffsetTest, DistinctWhenDisksSuffice) {
       }
       std::set<int64_t> offsets;
       for (int64_t r = 0; r < replicas; ++r) {
-        offsets.insert(ReplicatedPlacement::ReplicaOffset(n, replicas, r));
+        offsets.insert(ReplicaOffset(n, replicas, r));
       }
       EXPECT_EQ(static_cast<int64_t>(offsets.size()), replicas)
           << "n=" << n << " R=" << replicas;
@@ -35,20 +34,50 @@ TEST(ReplicaOffsetTest, DistinctWhenDisksSuffice) {
 }
 
 TEST(ReplicaOffsetTest, PrimaryHasZeroOffset) {
-  EXPECT_EQ(ReplicatedPlacement::ReplicaOffset(10, 3, 0), 0);
-  EXPECT_EQ(ReplicatedPlacement::ReplicaOffset(10, 3, 1), 3);
-  EXPECT_EQ(ReplicatedPlacement::ReplicaOffset(10, 3, 2), 6);
+  EXPECT_EQ(ReplicaOffset(10, 3, 0), 0);
+  EXPECT_EQ(ReplicaOffset(10, 3, 1), 3);
+  EXPECT_EQ(ReplicaOffset(10, 3, 2), 6);
 }
 
-TEST(ReplicatedPlacementTest, TwoWayMatchesMirroredPlacement) {
-  ScaddarPolicy policy(9);
-  ASSERT_TRUE(policy.AddObject(1, MakeX0(1, 1000)).ok());
-  const ReplicatedPlacement replicated(&policy, 2);
-  const MirroredPlacement mirror(&policy);
-  for (BlockIndex i = 0; i < 1000; ++i) {
-    EXPECT_EQ(replicated.ReplicaOf(1, i, 0), mirror.PrimaryOf(1, i));
-    EXPECT_EQ(replicated.ReplicaOf(1, i, 1), mirror.MirrorOf(1, i));
+TEST(ReplicaOffsetTest, TwoWayIsThePapersMirror) {
+  // Section 6's f(N) = N/2, always in [1, N-1] for N >= 2.
+  EXPECT_EQ(ReplicaOffset(2, 2, 1), 1);
+  EXPECT_EQ(ReplicaOffset(3, 2, 1), 1);
+  EXPECT_EQ(ReplicaOffset(8, 2, 1), 4);
+  EXPECT_EQ(ReplicaOffset(9, 2, 1), 4);
+  EXPECT_EQ(ReplicaOffset(100, 2, 1), 50);
+}
+
+TEST(ReplicatedPlacementTest, MirrorMasksEverySingleDiskFailure) {
+  ScaddarPolicy policy(6);
+  ASSERT_TRUE(policy.AddObject(1, MakeX0(5, 3000)).ok());
+  const ReplicatedPlacement mirror(&policy, 2);
+  for (PhysicalDiskId failed = 0; failed < 6; ++failed) {
+    const std::unordered_set<PhysicalDiskId> failures = {failed};
+    for (BlockIndex i = 0; i < 3000; ++i) {
+      const StatusOr<PhysicalDiskId> read =
+          mirror.LocateForRead(1, i, failures);
+      ASSERT_TRUE(read.ok()) << "disk " << failed << " block " << i;
+      EXPECT_NE(*read, failed);
+      // A healthy primary is always the one read.
+      if (mirror.ReplicaOf(1, i, 0) != failed) {
+        EXPECT_EQ(*read, mirror.ReplicaOf(1, i, 0));
+      }
+    }
   }
+}
+
+TEST(ReplicatedPlacementTest, MirroredLoadIsStillBalanced) {
+  ScaddarPolicy policy(8);
+  ASSERT_TRUE(policy.AddObject(1, MakeX0(7, 40000)).ok());
+  const ReplicatedPlacement mirror(&policy, 2);
+  const std::vector<int64_t> counts = mirror.PerDiskCountsWithReplicas();
+  int64_t total = 0;
+  for (const int64_t count : counts) {
+    total += count;
+  }
+  EXPECT_EQ(total, 80000);  // Exactly 2x storage.
+  EXPECT_TRUE(ChiSquareUniform(counts).IsUniform(0.001));
 }
 
 TEST(ReplicatedPlacementTest, ReplicasOnDistinctDisks) {
@@ -142,7 +171,7 @@ TEST(ReplicatedPlacementDeathTest, Validation) {
   ScaddarPolicy policy(4);
   EXPECT_DEATH(ReplicatedPlacement(nullptr, 2), "SCADDAR_CHECK");
   EXPECT_DEATH(ReplicatedPlacement(&policy, 1), "SCADDAR_CHECK");
-  EXPECT_DEATH(ReplicatedPlacement::ReplicaOffset(10, 3, 3),
+  EXPECT_DEATH(ReplicaOffset(10, 3, 3),
                "SCADDAR_CHECK");
 }
 
