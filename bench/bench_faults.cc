@@ -10,7 +10,6 @@
 #include "bench/bench_util.h"
 #include "faults/parity.h"
 #include "faults/recovery.h"
-#include "faults/replication.h"
 #include "random/distributions.h"
 #include "stats/load_metrics.h"
 
@@ -20,11 +19,41 @@ namespace {
 constexpr int64_t kBlocks = 60000;
 constexpr int64_t kDisks = 10;
 
-void MirrorPanel(const ScaddarPolicy& policy) {
-  const ReplicatedPlacement mirror(&policy, 2);
+// Copy r of block i is row r*kBlocks + i of a `replicas`-copy object.
+std::vector<PhysicalDiskId> CopyRows(const std::vector<uint64_t>& x0,
+                                     int64_t replicas) {
+  ScaddarPolicy policy(kDisks);
+  SCADDAR_CHECK(policy.AddObject(1, x0, replicas).ok());
+  std::vector<PhysicalDiskId> rows;
+  policy.LocateAllBlocks(1, rows);
+  return rows;
+}
+
+// Block counts per disk over every copy (ids are slots before any op).
+std::vector<int64_t> CountsOverCopies(const std::vector<PhysicalDiskId>& rows) {
+  std::vector<int64_t> counts(static_cast<size_t>(kDisks), 0);
+  for (const PhysicalDiskId disk : rows) {
+    ++counts[static_cast<size_t>(disk)];
+  }
+  return counts;
+}
+
+// True iff some copy of block `i` sits off every failed disk.
+bool Readable(const std::vector<PhysicalDiskId>& rows, BlockIndex i,
+              const std::unordered_set<PhysicalDiskId>& failed) {
+  for (size_t row = static_cast<size_t>(i); row < rows.size();
+       row += static_cast<size_t>(kBlocks)) {
+    if (!failed.contains(rows[row])) {
+      return true;
+    }
+  }
+  return false;
+}
+
+void MirrorPanel(const std::vector<uint64_t>& x0) {
+  const std::vector<PhysicalDiskId> mirror = CopyRows(x0, 2);
   std::printf("\n--- mirroring, f(N) = N/2 (Section 6) ---\n");
-  const std::vector<int64_t> counts = mirror.PerDiskCountsWithReplicas();
-  const LoadMetrics metrics = ComputeLoadMetrics(counts);
+  const LoadMetrics metrics = ComputeLoadMetrics(CountsOverCopies(mirror));
   std::printf("storage overhead: 2.00x   replicated-load CoV: %.5f\n",
               metrics.coefficient_of_variation);
   // Fail each disk in turn; all blocks must stay readable and the read
@@ -33,7 +62,7 @@ void MirrorPanel(const ScaddarPolicy& policy) {
   for (PhysicalDiskId failed = 0; failed < kDisks; ++failed) {
     const std::unordered_set<PhysicalDiskId> failures = {failed};
     for (BlockIndex i = 0; i < kBlocks; ++i) {
-      if (!mirror.LocateForRead(1, i, failures).ok()) {
+      if (!Readable(mirror, i, failures)) {
         ++unreadable;
       }
     }
@@ -73,15 +102,14 @@ void ParityPanel(const ScaddarPolicy& policy) {
   }
 }
 
-void ReplicationPanel(const ScaddarPolicy& policy) {
+void ReplicationPanel(const std::vector<uint64_t>& x0) {
   std::printf("\n--- R-way replication (offset family, extension) ---\n");
   std::printf("%-4s %-10s %-10s %-14s %-20s\n", "R", "storage",
               "load-CoV", "tolerates", "lost@2 failures");
   auto prng = MakePrng(PrngKind::kSplitMix64, 0x2fa11ull);
   for (const int64_t replicas : {2, 3, 4}) {
-    const ReplicatedPlacement placement(&policy, replicas);
-    const LoadMetrics metrics =
-        ComputeLoadMetrics(placement.PerDiskCountsWithReplicas());
+    const std::vector<PhysicalDiskId> rows = CopyRows(x0, replicas);
+    const LoadMetrics metrics = ComputeLoadMetrics(CountsOverCopies(rows));
     // Random double failures: fraction of blocks with no healthy replica.
     int64_t lost = 0;
     int64_t tested = 0;
@@ -92,13 +120,14 @@ void ReplicationPanel(const ScaddarPolicy& policy) {
                                                       failed_slots.end());
       for (BlockIndex i = 0; i < kBlocks; i += 10) {
         ++tested;
-        lost += placement.LocateForRead(1, i, failed).ok() ? 0 : 1;
+        lost += Readable(rows, i, failed) ? 0 : 1;
       }
     }
     std::printf("%-4lld %-10.2f %-10.5f %-14lld %-20.5f\n",
                 static_cast<long long>(replicas),
                 static_cast<double>(replicas), metrics.coefficient_of_variation,
-                static_cast<long long>(placement.MaxFailuresTolerated()),
+                // The R offsets stay distinct while kDisks >= R.
+                static_cast<long long>(replicas - 1),
                 static_cast<double>(lost) / static_cast<double>(tested));
   }
 }
@@ -141,9 +170,9 @@ int main() {
   const auto objects = scaddar::bench::MakeObjects(
       0xfau, 1, scaddar::kBlocks, scaddar::PrngKind::kSplitMix64, 64);
   SCADDAR_CHECK(policy.AddObject(1, objects[0]).ok());
-  scaddar::MirrorPanel(policy);
+  scaddar::MirrorPanel(objects[0]);
   scaddar::ParityPanel(policy);
-  scaddar::ReplicationPanel(policy);
+  scaddar::ReplicationPanel(objects[0]);
   scaddar::RecoveryPanel();
   scaddar::bench::PrintRule();
   std::printf(

@@ -3,14 +3,12 @@
 // migration's job), so this measures blocks/second of REMAP-chain
 // evaluation plus the raw single-step REMAP primitives.
 //
-// Three tiers are measured (docs/batch_engine.md explains how to read
+// Two tiers are measured (docs/batch_engine.md explains how to read
 // them):
 //  - *Mapper variants: the scalar reference — one Mapper replay per block
 //    per epoch (the pre-batch-engine planner, tests/plan_oracle.h);
 //  - default variants: the step-major CompiledLog batch kernels on one
-//    thread;
-//  - *Parallel variants: the batch kernels sharded across a ThreadPool
-//    (on a single-core host these show pool overhead, not speedup).
+//    thread.
 //
 // Usage: bench_remap_throughput [--json-only] [google-benchmark flags]
 // After the google-benchmark suite, the binary measures the batch kernel
@@ -31,7 +29,6 @@
 #include "random/sequence.h"
 #include "tests/plan_oracle.h"
 #include "util/simd.h"
-#include "util/thread_pool.h"
 
 namespace scaddar {
 namespace {
@@ -86,26 +83,6 @@ void BM_PlanOperationMapper(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * blocks);
 }
 BENCHMARK(BM_PlanOperationMapper)->Arg(10000)->Arg(100000)->Arg(1000000);
-
-// Sharded planner on a persistent pool at 1M blocks. Thread count is the
-// benchmark argument; near-linear scaling needs as many physical cores.
-void BM_PlanOperationParallel(benchmark::State& state) {
-  const int threads = static_cast<int>(state.range(0));
-  OpLog log = OpLog::Create(8).value();
-  SCADDAR_CHECK(log.Append(ScalingOp::Add(2).value()).ok());
-  auto seq = X0Sequence::Create(PrngKind::kSplitMix64, 3, 64).value();
-  const std::vector<uint64_t> x0 = seq.Materialize(1000000);
-  ThreadPool pool(threads);
-  ParallelPlanOptions options;
-  options.pool = &pool;
-  for (auto _ : state) {
-    const MovePlan plan = PlanOperation(log, 1, {{1, &x0}}, options);
-    benchmark::DoNotOptimize(plan.num_moves());
-  }
-  state.SetItemsProcessed(state.iterations() * 1000000);
-  state.SetLabel("threads=" + std::to_string(threads));
-}
-BENCHMARK(BM_PlanOperationParallel)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 
 OpLog LongAddHistory(int64_t ops) {
   OpLog log = OpLog::Create(8).value();

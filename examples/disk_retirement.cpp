@@ -21,7 +21,7 @@ int main() {
   config.initial_disks = 10;
   config.bits = 32;            // Paper-era generator: range is precious.
   config.prng_kind = PrngKind::kPcg32;
-  config.tolerance_eps = 0.05;
+  config.governor_eps = 0.05;
   config.master_seed = 77;
   auto server = std::move(CmServer::Create(config)).value();
   for (ObjectId id = 1; id <= 6; ++id) {

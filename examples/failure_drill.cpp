@@ -6,10 +6,9 @@
 // Run: ./build/examples/failure_drill
 
 #include <cstdio>
-#include <unordered_set>
+#include <vector>
 
 #include "faults/recovery.h"
-#include "faults/replication.h"
 #include "random/sequence.h"
 
 using scaddar::BlockIndex;
@@ -18,7 +17,6 @@ using scaddar::PlanMirrorRecovery;
 using scaddar::PrngKind;
 using scaddar::RecoveryPlan;
 using scaddar::ReplicaOffset;
-using scaddar::ReplicatedPlacement;
 using scaddar::ScaddarPolicy;
 using scaddar::ScalingOp;
 using scaddar::X0Sequence;
@@ -33,10 +31,11 @@ int main() {
       X0Sequence::Create(PrngKind::kSplitMix64, 0xfee1u, 64)
           .value()
           .Materialize(kBlocks);
-  SCADDAR_CHECK(policy.AddObject(1, x0).ok());
+  SCADDAR_CHECK(policy.AddObject(1, x0, /*copies=*/2).ok());
 
   // Before the failure: every block has a primary and a mirror at offset
-  // f(N) = N/2, always on distinct disks.
+  // f(N) = N/2, always on distinct disks. Copy r of block i is row
+  // r*kBlocks + i of the object's batch AF().
   const PhysicalDiskId failed_disk =
       policy.log().physical_disks()[kFailedSlot];
   std::printf("array: %lld disks, %lld blocks, mirrored at offset %lld\n",
@@ -49,13 +48,14 @@ int main() {
   // 1. Reads keep working immediately: the mirror serves the dead disk's
   //    share. (No remap needed for availability — only for re-protection.)
   {
-    const ReplicatedPlacement mirror(&policy, 2);
-    const std::unordered_set<PhysicalDiskId> failures = {failed_disk};
+    std::vector<PhysicalDiskId> rows;
+    policy.LocateAllBlocks(1, rows);
     int64_t served_by_mirror = 0;
     for (BlockIndex i = 0; i < kBlocks; ++i) {
-      const auto read = mirror.LocateForRead(1, i, failures);
-      SCADDAR_CHECK(read.ok());
-      served_by_mirror += mirror.ReplicaOf(1, i, 0) == failed_disk ? 1 : 0;
+      const PhysicalDiskId primary = rows[static_cast<size_t>(i)];
+      const PhysicalDiskId mirror = rows[static_cast<size_t>(kBlocks + i)];
+      SCADDAR_CHECK(primary != failed_disk || mirror != failed_disk);
+      served_by_mirror += primary == failed_disk ? 1 : 0;
     }
     std::printf("phase 1 — degraded service: all %lld blocks readable; "
                 "%lld served from mirrors\n",

@@ -1,7 +1,6 @@
 #include "cluster/cluster_server.h"
 
 #include <algorithm>
-#include <chrono>
 #include <thread>
 #include <utility>
 
@@ -16,12 +15,6 @@ namespace {
 /// the range [0, 2^40), so a 1-shard cluster hands out exactly the ids a
 /// bare server would — part of the byte-identity contract.
 constexpr int kMemberShift = 40;
-
-int64_t ElapsedNs(std::chrono::steady_clock::time_point since) {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now() - since)
-      .count();
-}
 
 }  // namespace
 
@@ -167,29 +160,21 @@ Status ClusterServer::SeekStream(int64_t stream_id, BlockIndex block) {
 }
 
 ClusterRoundMetrics ClusterServer::Tick() {
-  return RunRound(/*serialize=*/false, nullptr);
+  return RunRound(/*serialize=*/false);
 }
 
-ClusterRoundMetrics ClusterServer::TickSerialized(ClusterTickTiming* timing) {
-  return RunRound(/*serialize=*/true, timing);
+ClusterRoundMetrics ClusterServer::TickSerialized() {
+  return RunRound(/*serialize=*/true);
 }
 
-ClusterRoundMetrics ClusterServer::RunRound(bool serialize,
-                                            ClusterTickTiming* timing) {
+ClusterRoundMetrics ClusterServer::RunRound(bool serialize) {
   const int64_t n = static_cast<int64_t>(shards_.size());
   std::vector<RoundMetrics> per_shard(static_cast<size_t>(n));
 
   if (serialize || n == 1) {
-    if (timing != nullptr) {
-      timing->shard_ns.assign(static_cast<size_t>(n), 0);
-    }
     for (int64_t i = 0; i < n; ++i) {
-      const auto start = std::chrono::steady_clock::now();
       per_shard[static_cast<size_t>(i)] =
           shards_[static_cast<size_t>(i)].server->Tick();
-      if (timing != nullptr) {
-        timing->shard_ns[static_cast<size_t>(i)] = ElapsedNs(start);
-      }
     }
   } else {
     if (pool_ == nullptr) {
@@ -215,7 +200,6 @@ ClusterRoundMetrics ClusterServer::RunRound(bool serialize,
   // Serial tail, shard creation order throughout: merge, cross-shard pump,
   // commits, retirement. This is the only section where shards interact, so
   // the pooled and serialized paths cannot diverge.
-  const auto serial_start = std::chrono::steady_clock::now();
   ClusterRoundMetrics metrics;
   metrics.round = round_;
   for (const RoundMetrics& m : per_shard) {
@@ -236,9 +220,6 @@ ClusterRoundMetrics ClusterServer::RunRound(bool serialize,
       static_cast<int64_t>(pump.ready_to_commit.size());
   RetireDrainedShards();
   metrics.pending_transfers = migrator_.pending_transfers();
-  if (timing != nullptr) {
-    timing->serial_ns = ElapsedNs(serial_start);
-  }
   ++round_;
   return metrics;
 }

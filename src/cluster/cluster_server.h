@@ -54,14 +54,6 @@ struct ClusterRoundMetrics {
   int64_t pending_transfers = 0;   // Cross-shard queue depth after the round.
 };
 
-/// Per-shard wall timings of one serialized round — the bench's model-time
-/// input on hosts with fewer cores than shards: shards are independent, so
-/// the modeled parallel round costs `max(shard_ns) + serial_ns`.
-struct ClusterTickTiming {
-  std::vector<int64_t> shard_ns;  // Tick cost per shard, creation order.
-  int64_t serial_ns = 0;          // Merge + cross-shard pump + retirement.
-};
-
 /// A cluster of independent `CmServer` shards behind one façade — the
 /// scale-*out* axis to the shards' internal scale-*up* (disk scaling).
 ///
@@ -110,10 +102,9 @@ class ClusterServer {
   /// completed transfers, retire drained shards.
   ClusterRoundMetrics Tick();
 
-  /// Identical outcome to `Tick`, but shards run one-by-one with per-shard
-  /// wall timings captured into `timing` (may be null). This is the model
-  /// clock for throughput benches on hosts narrower than the cluster.
-  ClusterRoundMetrics TickSerialized(ClusterTickTiming* timing);
+  /// Identical outcome to `Tick`, but shards run one-by-one on the calling
+  /// thread.
+  ClusterRoundMetrics TickSerialized();
 
   // --- Cluster scaling. -------------------------------------------------
   /// Adds an empty server shard and reroutes: every object whose jump-hash
@@ -243,10 +234,10 @@ class ClusterServer {
   /// insertion order — the deterministic spine of the transfer queue.
   void ReconcileRouting();
 
-  /// Runs the ticks for shards [0, n) either on the pool or serially with
-  /// timings, then the serial tail; the single implementation behind `Tick`
-  /// and `TickSerialized`.
-  ClusterRoundMetrics RunRound(bool serialize, ClusterTickTiming* timing);
+  /// Runs the ticks for shards [0, n) either on the pool or serially, then
+  /// the serial tail; the single implementation behind `Tick` and
+  /// `TickSerialized`.
+  ClusterRoundMetrics RunRound(bool serialize);
 
   /// Serial tail of a round: merge, transfer pump, commits, retirement.
   void CommitTransfer(const ObjectTransfer& transfer);

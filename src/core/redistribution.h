@@ -8,7 +8,6 @@
 #include "core/types.h"
 #include "stats/movement.h"
 #include "util/statusor.h"
-#include "util/thread_pool.h"
 
 namespace scaddar {
 
@@ -40,10 +39,6 @@ class MovePlan {
     moves_.reserve(static_cast<size_t>(n < 0 ? 0 : n));
   }
 
-  /// Splices `shard`'s moves onto the end (planner shard merge); `shard`'s
-  /// `blocks_considered` accounting is added too.
-  void Append(MovePlan&& shard);
-
   const std::vector<BlockMove>& moves() const { return moves_; }
   int64_t num_moves() const { return static_cast<int64_t>(moves_.size()); }
   int64_t blocks_considered() const { return blocks_considered_; }
@@ -65,23 +60,6 @@ struct ObjectBlocksView {
   Epoch start_epoch = 0;
 };
 
-/// Controls how the planners shard their block scans across threads.
-/// The defaults give the serial batch path; every configuration yields a
-/// `MovePlan` byte-identical to every other (see below).
-struct ParallelPlanOptions {
-  /// Worker count when `pool == nullptr`; <= 1 plans on the calling
-  /// thread. Ignored if `pool` is set (its size is used instead).
-  int num_threads = 1;
-
-  /// Inputs smaller than this stay on the calling thread even when
-  /// threads are available — shard setup costs more than it saves.
-  int64_t min_blocks_to_shard = 1 << 16;
-
-  /// Optional caller-owned pool to run on (it must outlive the call);
-  /// `nullptr` spins up a transient pool of `num_threads` workers.
-  ThreadPool* pool = nullptr;
-};
-
 /// The paper's `RF()` for scaling operation `j` (1-based, in
 /// [1, log.num_ops()], checked): computes which blocks must move between
 /// epochs `j-1` and `j`. Per Section 4: on additions the REMAP chain is
@@ -90,27 +68,22 @@ struct ParallelPlanOptions {
 /// contains exactly those blocks whose *physical* disk changes.
 ///
 /// Evaluation is batched through `CompiledLog` step-major kernels: one
-/// chain pass reads each block at both `j-1` and `j`. With `options`
-/// requesting threads, the flattened (object, block) sequence is cut into
-/// contiguous shards planned concurrently and merged in shard order, so
-/// the result is *byte-identical* to the serial plan — same moves, same
-/// order — regardless of thread count (`parallel_plan_test` proves it).
+/// chain pass reads each block at both `j-1` and `j`. Moves come out in
+/// input order: objects as given, blocks ascending.
 MovePlan PlanOperation(const OpLog& log, Epoch j,
-                       const std::vector<ObjectBlocksView>& objects,
-                       const ParallelPlanOptions& options = {});
+                       const std::vector<ObjectBlocksView>& objects);
 
 /// Plans the paper's fallback when Lemma 4.3's precondition is violated:
 /// a complete redistribution onto a fresh placement. `from` maps blocks via
 /// (`from_log` replayed over `from_x0`); `to` via (`to_log` over `to_x0`,
 /// typically a new seed generation with an empty log). Both views must
 /// enumerate the same objects with the same block counts (checked). Every
-/// block whose physical disk differs is emitted. Batched and sharded
-/// exactly like `PlanOperation` (deterministic for any `options`).
+/// block whose physical disk differs is emitted. Batched and ordered like
+/// `PlanOperation`.
 MovePlan PlanFullRedistribution(const OpLog& from_log,
                                 const std::vector<ObjectBlocksView>& from_x0,
                                 const OpLog& to_log,
-                                const std::vector<ObjectBlocksView>& to_x0,
-                                const ParallelPlanOptions& options = {});
+                                const std::vector<ObjectBlocksView>& to_x0);
 
 }  // namespace scaddar
 

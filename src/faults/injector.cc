@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <iterator>
 
 #include "random/distributions.h"
 #include "util/tokens.h"
@@ -13,24 +14,32 @@ namespace {
 
 constexpr std::string_view kHeader = "faults-v1";
 
-const char* KindToken(FaultKind kind) {
-  switch (kind) {
-    case FaultKind::kCrash:
-      return "crash";
-    case FaultKind::kDiskFail:
-      return "fail";
-    case FaultKind::kTransientError:
-      return "transient";
-    case FaultKind::kHook:
-      return "hook";
-    case FaultKind::kBackendError:
-      return "backend";
-    case FaultKind::kSnapshotCrash:
-      return "snapcrash";
-    case FaultKind::kSnapshotCorrupt:
-      return "snapcorrupt";
+// One schedule line per event: its kind's token, then the kind's fields.
+// `tokens` counts the kind token too.
+struct KindSyntax {
+  FaultKind kind;
+  std::string_view token;
+  size_t tokens;
+};
+
+constexpr KindSyntax kKindSyntax[] = {
+    {FaultKind::kCrash, "crash", 4},
+    {FaultKind::kDiskFail, "fail", 3},
+    {FaultKind::kTransientError, "transient", 4},
+    {FaultKind::kHook, "hook", 3},
+    {FaultKind::kBackendError, "backend", 5},
+    {FaultKind::kSnapshotCrash, "snapcrash", 3},
+    {FaultKind::kSnapshotCorrupt, "snapcorrupt", 3},
+};
+
+std::string_view KindToken(FaultKind kind) {
+  for (const KindSyntax& syntax : kKindSyntax) {
+    if (syntax.kind == kind) {
+      return syntax.token;
+    }
   }
-  return "?";
+  SCADDAR_CHECK(false);
+  return {};
 }
 
 const char* BackendKindToken(BackendFaultKind kind) {
@@ -100,43 +109,44 @@ std::string FaultSchedule::Serialize() const {
   for (const FaultEvent& event : events_) {
     switch (event.kind) {
       case FaultKind::kCrash:
-        std::snprintf(buffer, sizeof(buffer), "crash %lld %lld %d\n",
+        std::snprintf(buffer, sizeof(buffer), " %lld %lld %d\n",
                       static_cast<long long>(event.round),
                       static_cast<long long>(event.move),
                       static_cast<int>(event.phase));
         break;
       case FaultKind::kDiskFail:
-        std::snprintf(buffer, sizeof(buffer), "fail %lld %lld\n",
+        std::snprintf(buffer, sizeof(buffer), " %lld %lld\n",
                       static_cast<long long>(event.round),
                       static_cast<long long>(event.disk));
         break;
       case FaultKind::kTransientError:
-        std::snprintf(buffer, sizeof(buffer), "transient %lld %lld %.17g\n",
+        std::snprintf(buffer, sizeof(buffer), " %lld %lld %.17g\n",
                       static_cast<long long>(event.round),
                       static_cast<long long>(event.disk), event.probability);
         break;
       case FaultKind::kHook:
-        std::snprintf(buffer, sizeof(buffer), "hook %lld %lld\n",
+        std::snprintf(buffer, sizeof(buffer), " %lld %lld\n",
                       static_cast<long long>(event.round),
                       static_cast<long long>(event.move));
         break;
       case FaultKind::kBackendError:
-        std::snprintf(buffer, sizeof(buffer), "backend %lld %lld %s %.17g\n",
+        std::snprintf(buffer, sizeof(buffer), " %lld %lld %s %.17g\n",
                       static_cast<long long>(event.round),
                       static_cast<long long>(event.disk),
                       BackendKindToken(event.backend), event.probability);
         break;
       case FaultKind::kSnapshotCrash:
-        std::snprintf(buffer, sizeof(buffer), "snapcrash %lld %d\n",
+        std::snprintf(buffer, sizeof(buffer), " %lld %d\n",
                       static_cast<long long>(event.move),
                       static_cast<int>(event.snapshot_phase));
         break;
       case FaultKind::kSnapshotCorrupt:
-        std::snprintf(buffer, sizeof(buffer), "snapcorrupt %lld %lld\n",
+        std::snprintf(buffer, sizeof(buffer), " %lld %lld\n",
                       static_cast<long long>(event.move),
                       static_cast<long long>(event.disk));
         break;
     }
+    out += KindToken(event.kind);
     out += buffer;
   }
   return out;
@@ -166,9 +176,18 @@ StatusOr<FaultSchedule> FaultSchedule::Deserialize(std::string_view text) {
       header_seen = true;
       continue;
     }
+    const auto* syntax = std::find_if(
+        std::begin(kKindSyntax), std::end(kKindSyntax),
+        [&tokens](const KindSyntax& candidate) {
+          return candidate.token == tokens[0] &&
+                 candidate.tokens == tokens.size();
+        });
+    if (syntax == std::end(kKindSyntax)) {
+      return InvalidArgumentError("unrecognized fault schedule line");
+    }
     FaultEvent event;
-    if (tokens[0] == "crash" && tokens.size() == 4) {
-      event.kind = FaultKind::kCrash;
+    event.kind = syntax->kind;
+    if (event.kind == FaultKind::kCrash) {
       SCADDAR_ASSIGN_OR_RETURN(event.round, ParseInt(tokens[1]));
       SCADDAR_ASSIGN_OR_RETURN(event.move, ParseInt(tokens[2]));
       SCADDAR_ASSIGN_OR_RETURN(const int64_t phase, ParseInt(tokens[3]));
@@ -176,12 +195,10 @@ StatusOr<FaultSchedule> FaultSchedule::Deserialize(std::string_view text) {
         return InvalidArgumentError("crash phase out of range");
       }
       event.phase = static_cast<MovePhase>(phase);
-    } else if (tokens[0] == "fail" && tokens.size() == 3) {
-      event.kind = FaultKind::kDiskFail;
+    } else if (event.kind == FaultKind::kDiskFail) {
       SCADDAR_ASSIGN_OR_RETURN(event.round, ParseInt(tokens[1]));
       SCADDAR_ASSIGN_OR_RETURN(event.disk, ParseInt(tokens[2]));
-    } else if (tokens[0] == "transient" && tokens.size() == 4) {
-      event.kind = FaultKind::kTransientError;
+    } else if (event.kind == FaultKind::kTransientError) {
       SCADDAR_ASSIGN_OR_RETURN(event.round, ParseInt(tokens[1]));
       SCADDAR_ASSIGN_OR_RETURN(event.disk, ParseInt(tokens[2]));
       SCADDAR_ASSIGN_OR_RETURN(event.probability, ParseDouble(tokens[3]));
@@ -189,12 +206,10 @@ StatusOr<FaultSchedule> FaultSchedule::Deserialize(std::string_view text) {
       if (!(event.probability >= 0.0 && event.probability <= 1.0)) {
         return InvalidArgumentError("transient probability outside [0, 1]");
       }
-    } else if (tokens[0] == "hook" && tokens.size() == 3) {
-      event.kind = FaultKind::kHook;
+    } else if (event.kind == FaultKind::kHook) {
       SCADDAR_ASSIGN_OR_RETURN(event.round, ParseInt(tokens[1]));
       SCADDAR_ASSIGN_OR_RETURN(event.move, ParseInt(tokens[2]));
-    } else if (tokens[0] == "backend" && tokens.size() == 5) {
-      event.kind = FaultKind::kBackendError;
+    } else if (event.kind == FaultKind::kBackendError) {
       SCADDAR_ASSIGN_OR_RETURN(event.round, ParseInt(tokens[1]));
       SCADDAR_ASSIGN_OR_RETURN(event.disk, ParseInt(tokens[2]));
       if (tokens[3] == "eio") {
@@ -208,20 +223,16 @@ StatusOr<FaultSchedule> FaultSchedule::Deserialize(std::string_view text) {
       if (!(event.probability >= 0.0 && event.probability <= 1.0)) {
         return InvalidArgumentError("backend probability outside [0, 1]");
       }
-    } else if (tokens[0] == "snapcrash" && tokens.size() == 3) {
-      event.kind = FaultKind::kSnapshotCrash;
+    } else if (event.kind == FaultKind::kSnapshotCrash) {
       SCADDAR_ASSIGN_OR_RETURN(event.move, ParseInt(tokens[1]));
       SCADDAR_ASSIGN_OR_RETURN(const int64_t phase, ParseInt(tokens[2]));
       if (phase < 0 || phase >= kNumSnapshotPhases) {
         return InvalidArgumentError("snapshot crash phase out of range");
       }
       event.snapshot_phase = static_cast<SnapshotPhase>(phase);
-    } else if (tokens[0] == "snapcorrupt" && tokens.size() == 3) {
-      event.kind = FaultKind::kSnapshotCorrupt;
+    } else {  // kSnapshotCorrupt
       SCADDAR_ASSIGN_OR_RETURN(event.move, ParseInt(tokens[1]));
       SCADDAR_ASSIGN_OR_RETURN(event.disk, ParseInt(tokens[2]));
-    } else {
-      return InvalidArgumentError("unrecognized fault schedule line");
     }
     schedule.Add(event);
   }

@@ -81,11 +81,6 @@ class PlacementPolicy {
   virtual void LocateMany(ObjectId object, std::span<const BlockIndex> blocks,
                           std::span<PhysicalDiskId> out) const;
 
-  /// Hook for batch consumers that fan work out across threads: brings any
-  /// lazily built lookup state (SCADDAR's compiled-log cache) up to date on
-  /// the calling thread so concurrent `Locate*` calls are read-only.
-  virtual void PrepareForBatch() const {}
-
   /// Scaling history (shared semantics across policies).
   const OpLog& log() const { return log_; }
 

@@ -24,7 +24,8 @@ int64_t ReplicaOffset(int64_t n, int64_t replicas, int64_t r);
 /// fresh `Mapper` replay: the cache is rebuilt lazily whenever
 /// `OpLog::revision()` says the log moved on (ops are rare, lookups are
 /// millions/sec), and `LocateAllBlocks` feeds whole objects through the
-/// step-major batch kernels.
+/// step-major batch kernels. Any lookup may rebuild the cache, so a policy
+/// is read from one thread at a time (each cluster shard owns its own).
 ///
 /// Objects are epoch-aware: one registered after `j` scaling operations
 /// starts its chain at epoch `j` (initial placement `X0 mod N_j`), so late
@@ -53,11 +54,6 @@ class ScaddarPolicy final : public PlacementPolicy {
 
   void LocateMany(ObjectId object, std::span<const BlockIndex> blocks,
                   std::span<PhysicalDiskId> out) const override;
-
-  /// Rebuilds the compiled-log cache if stale; afterwards concurrent batch
-  /// lookups only read it (the migration executor calls this before its
-  /// batch passes).
-  void PrepareForBatch() const override { compiled(); }
 
   /// Logical slot variant (exposed for tests and the Figure 1 walkthrough).
   DiskSlot LocateSlot(ObjectId object, BlockIndex block) const;

@@ -56,7 +56,7 @@ void SegmentPolicy::BuildEqual(const std::vector<PhysicalDiskId>& owners) {
   }
 }
 
-Status SegmentPolicy::OnOp(const ScalingOp& op) {
+Status SegmentPolicy::OnOp(const ScalingOp& /*op*/) {
   RebalanceTo(log().physical_disks());
   return OkStatus();
 }

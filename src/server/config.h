@@ -31,9 +31,6 @@ struct ServerConfig {
   /// Master seed; per-object seeds derive from it.
   uint64_t master_seed = 0x5caddae0'0b10c5ull;
 
-  /// Lemma 4.3 tolerance: the largest acceptable unfairness coefficient.
-  double tolerance_eps = 0.05;
-
   /// Fraction of aggregate disk bandwidth admission control may commit to
   /// streams; the rest is headroom for seeks and reorganization.
   double admission_utilization_cap = 0.85;
@@ -96,8 +93,10 @@ struct ServerConfig {
   /// Governor generator width `b` for the budget watch (0 = use `bits`).
   int governor_bits = 0;
 
-  /// Governor unfairness budget ε (0 = use `tolerance_eps`).
-  double governor_eps = 0.0;
+  /// Lemma 4.3 tolerance ε: the largest acceptable unfairness coefficient.
+  /// The governor's budget and `CmServer::WouldExceedTolerance` both read
+  /// it.
+  double governor_eps = 0.05;
 
   /// CoV drift threshold that triggers a reorganization (0 = budget watch
   /// only, no CoV watch).

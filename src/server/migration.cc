@@ -80,7 +80,6 @@ void MigrationExecutor::EnqueuePlan(const MovePlan& plan) {
 
 void MigrationExecutor::EnqueueReconciliation(const BlockStore& store,
                                               const PlacementPolicy& policy) {
-  policy.PrepareForBatch();
   std::vector<PhysicalDiskId> targets;
   for (const auto& [id, x0] : policy.objects_view()) {
     // The row holds every copy of every block, so it sizes the pass.
@@ -136,7 +135,6 @@ void MigrationExecutor::Resolve(const BlockStore& store,
            int32_t>
       bucket_of;
   const bool any_failed = !disks.failed_ids().empty();
-  policy.PrepareForBatch();
   std::vector<BlockIndex> blocks;
   std::vector<PhysicalDiskId> targets;
   const auto ref_at = [this, &order](size_t k) -> const BlockRef& {

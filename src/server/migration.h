@@ -49,7 +49,8 @@ class MoveJournal;
 /// write-ahead protocol (intent -> stage -> copied -> flip -> commit), and
 /// the fault injector hanging off the `DiskArray` can kill the executor at
 /// any phase boundary or fail individual transfers. Without a journal the
-/// moves apply directly. One `RunRound` serves all of these: one-phase,
+/// moves apply directly to the store's metadata (a real backend always
+/// journals). One `RunRound` serves all of these: one-phase,
 /// journaled, two-phase (I/O engine) and fault-injected rounds.
 class MigrationExecutor {
  public:

@@ -255,7 +255,7 @@ int64_t CmServer::UnreadableBlocks() const {
 
 bool CmServer::WouldExceedTolerance(const ScalingOp& op) const {
   return policy_->log().WouldExceedTolerance(op, catalog_.r0(),
-                                             config_.tolerance_eps);
+                                             reorg_.governor().eps());
 }
 
 Status CmServer::FullRedistribution() {
@@ -458,9 +458,8 @@ StatusOr<AdaptiveReorgDriver> CmServer::BuildReorgDriver(
     const ServerConfig& config) {
   const int bits =
       config.governor_bits > 0 ? config.governor_bits : config.bits;
-  const double eps =
-      config.governor_eps > 0.0 ? config.governor_eps : config.tolerance_eps;
-  return AdaptiveReorgDriver::Create(bits, eps, config.reorg_cov_threshold,
+  return AdaptiveReorgDriver::Create(bits, config.governor_eps,
+                                     config.reorg_cov_threshold,
                                      config.reorg_check_every);
 }
 

@@ -381,8 +381,8 @@ class CmServer {
   /// manager is attached.
   Status MetadataBarrier();
 
-  /// Builds the adaptive driver from config knobs (governor_bits/eps fall
-  /// back to bits/tolerance_eps when 0).
+  /// Builds the adaptive driver from config knobs (governor_bits falls back
+  /// to bits when 0).
   static StatusOr<AdaptiveReorgDriver> BuildReorgDriver(
       const ServerConfig& config);
 

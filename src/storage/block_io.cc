@@ -244,20 +244,6 @@ StatusOr<bool> BlockIoEngine::SyncRead(SlotLoc loc, std::byte* buf) {
   return full;
 }
 
-StatusOr<bool> BlockIoEngine::SyncWrite(SlotLoc loc, const std::byte* buf) {
-  SCADDAR_RETURN_IF_ERROR(EnsureDisk(loc.disk));
-  SCADDAR_ASSIGN_OR_RETURN(const int64_t token,
-                           backend_->EnqueueWrite(loc.disk, loc.slot, buf));
-  pending_[token] = PendingTag{PendingTag::Kind::kSync, BlockRef{}, 0};
-  SCADDAR_RETURN_IF_ERROR(DrainAndDispatch());
-  const auto it = sync_results_.find(token);
-  SCADDAR_CHECK(it != sync_results_.end());
-  const bool full =
-      it->second.status.ok() && it->second.bytes == options_.block_bytes;
-  sync_results_.erase(it);
-  return full;
-}
-
 Status BlockIoEngine::PlaceObject(ObjectId id,
                                   std::span<const PhysicalDiskId> locations) {
   if (objects_.count(id) != 0) {
@@ -324,36 +310,6 @@ Status BlockIoEngine::DropObject(ObjectId id) {
   }
   std::erase_if(pending_copies_,
                 [id](const PendingCopy& c) { return c.ref.object == id; });
-  return OkStatus();
-}
-
-Status BlockIoEngine::ApplyMove(BlockRef ref, PhysicalDiskId from,
-                                PhysicalDiskId to) {
-  SCADDAR_ASSIGN_OR_RETURN(const SlotLoc source, AuthoritativeLoc(ref));
-  if (source.disk != from) {
-    return FailedPreconditionError("block is not on the claimed source");
-  }
-  SCADDAR_ASSIGN_OR_RETURN(const bool read_ok,
-                           SyncRead(source, scratch_.get()));
-  if (!read_ok) {
-    return UnavailableError("move: source read failed");
-  }
-  if (!CheckImage(ref, options_.content_seed, scratch_.get(),
-                  options_.block_bytes)) {
-    return DataLossError("move: source image corrupt");
-  }
-  SCADDAR_RETURN_IF_ERROR(EnsureDisk(to));
-  const SlotLoc target{to, AllocSlot(to)};
-  SCADDAR_ASSIGN_OR_RETURN(const bool write_ok,
-                           SyncWrite(target, scratch_.get()));
-  if (!write_ok) {
-    FreeSlot(target);
-    return UnavailableError("move: target write failed");
-  }
-  SCADDAR_RETURN_IF_ERROR(backend_->Flush(to));
-  objects_[ref.object][static_cast<size_t>(ref.block)] = target;
-  FreeSlot(source);
-  ++stats_.moves_applied;
   return OkStatus();
 }
 

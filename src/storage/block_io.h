@@ -24,7 +24,6 @@ struct EngineIoStats {
   int64_t copy_failures = 0;   // Staged copies that failed and were reported
                                // back to the migration executor.
   int64_t blocks_placed = 0;   // Block images written by PlaceObject.
-  int64_t moves_applied = 0;   // Synchronous ApplyMove copies.
 };
 
 /// Bridges the placement layers' `(object, block) -> disk` world to a
@@ -45,7 +44,7 @@ struct EngineIoStats {
 ///    abort and re-queue them. Staged bytes are therefore *volatile* until
 ///    `FinishMigrationRound` returns, which is exactly why
 ///    `MoveJournal::Recover` validates staged images before rolling a move
-///    forward.
+///    forward. This is the only way bytes move between disks.
 ///
 /// Thread safety: none; the engine runs on the coordinator thread between
 /// the scheduler's parallel phases, like every other mutation.
@@ -92,10 +91,6 @@ class BlockIoEngine {
 
   /// Releases every slot (authoritative and staged) the object holds.
   Status DropObject(ObjectId id);
-
-  /// Synchronous relocation: read + verify the image, write it to a fresh
-  /// slot on `to`, flush, flip. The non-journaled path (plans, tests).
-  Status ApplyMove(BlockRef ref, PhysicalDiskId from, PhysicalDiskId to);
 
   /// Allocates the staged slot on `to` and queues the copy for
   /// `FinishMigrationRound`. No bytes move yet.
@@ -193,14 +188,13 @@ class BlockIoEngine {
   /// Drains the backend and routes every completion by its tag.
   Status DrainAndDispatch();
 
-  /// Enqueue + submit + drain one op; returns ok(full transfer) or error.
+  /// Enqueue + submit + drain one read; returns ok(full transfer) or error.
   StatusOr<bool> SyncRead(SlotLoc loc, std::byte* buf);
-  StatusOr<bool> SyncWrite(SlotLoc loc, const std::byte* buf);
 
   Options options_;
   std::unique_ptr<StorageBackend> backend_;
   AlignedPtr arena_;    // arena_blocks_ * block_bytes, registered.
-  AlignedPtr scratch_;  // One block, for the synchronous helpers.
+  AlignedPtr scratch_;  // One block, for the synchronous reads.
 
   std::unordered_map<ObjectId, std::vector<SlotLoc>> objects_;
   std::unordered_map<ObjectId, std::unordered_map<BlockIndex, SlotLoc>>

@@ -102,6 +102,10 @@ StatusOr<PhysicalDiskId> BlockStore::LocationOf(BlockRef ref) const {
 }
 
 Status BlockStore::ApplyMove(const BlockMove& move) {
+  if (io_ != nullptr) {
+    return FailedPreconditionError(
+        "real bytes move only through staged copies");
+  }
   const auto it = locations_.find(move.block.object);
   if (it == locations_.end()) {
     return NotFoundError("object not materialized");
@@ -114,10 +118,6 @@ Status BlockStore::ApplyMove(const BlockMove& move) {
       it->second[static_cast<size_t>(move.block.block)];
   if (location != move.from_physical) {
     return FailedPreconditionError("block is not on the expected source disk");
-  }
-  if (io_ != nullptr) {
-    SCADDAR_RETURN_IF_ERROR(
-        io_->ApplyMove(move.block, move.from_physical, move.to_physical));
   }
   location = move.to_physical;
   AdjustDisk(move.from_physical, -1);

@@ -66,7 +66,9 @@ class BlockStore {
   int64_t RowRevision(ObjectId id) const;
 
   /// Executes one relocation; fails (without side effects) if the block is
-  /// not currently on `move.from_physical`.
+  /// not currently on `move.from_physical`. Metadata only: with an I/O
+  /// engine attached it is FailedPrecondition, because real bytes move
+  /// only through staged copies (`StageCopy`, then `CommitStagedMove`).
   Status ApplyMove(const BlockMove& move);
 
   // --- Staged copies (the journaled move protocol's middle state). -------

@@ -13,13 +13,13 @@
 
 namespace scaddar {
 
-/// A minimal fixed-size worker pool for compute fan-out (redistribution
-/// planning shards, batch chain evaluation). Deliberately small surface:
-/// tasks are fire-and-forget closures, and `ParallelFor` provides the one
-/// pattern the planners need — chunked static partitioning with a join.
-/// No work stealing, no priorities: planner shards are pre-balanced by
-/// block count, so static chunks keep the merge order deterministic and
-/// the synchronization trivial to reason about (and to race-check).
+/// A minimal fixed-size worker pool. It has two users: `ClusterServer`
+/// ticks its server shards through `ParallelFor`, and `SyncFileBackend`
+/// `Schedule`s one drain task per disk. Deliberately small surface: tasks
+/// are fire-and-forget closures, and `ParallelFor` is chunked static
+/// partitioning with a join. No work stealing, no priorities: static
+/// chunks keep the partition deterministic and the synchronization
+/// trivial to reason about (and to race-check).
 class ThreadPool {
  public:
   /// Spawns `num_threads` workers (clamped to >= 1).

@@ -204,15 +204,12 @@ TEST(BatchPlannerTest, PlanFullRedistributionMatchesScalar) {
       PlanFullRedistributionScalar(from_log, from, to_log, to));
 }
 
-TEST(BatchPlannerTest, MovePlanReserveAndAppend) {
+TEST(BatchPlannerTest, MovePlanReserveAndAdd) {
   MovePlan a;
   a.Reserve(10);
   a.Add(BlockMove{.block = {1, 0}});
-  a.set_blocks_considered(5);
-  MovePlan b;
-  b.Add(BlockMove{.block = {2, 3}});
-  b.set_blocks_considered(7);
-  a.Append(std::move(b));
+  a.Add(BlockMove{.block = {2, 3}});
+  a.set_blocks_considered(12);
   EXPECT_EQ(a.num_moves(), 2);
   EXPECT_EQ(a.blocks_considered(), 12);
   EXPECT_EQ(a.moves()[0].block, (BlockRef{1, 0}));

@@ -71,12 +71,29 @@ TEST(BlockIoEngineTest, PlaceReadVerify) {
                                          static_cast<int64_t>(image->size())));
 }
 
-TEST(BlockIoEngineTest, ApplyMoveRelocatesIntactBytes) {
+TEST(BlockIoEngineTest, StoreRefusesUnstagedMoveWhileEngineAttached) {
   auto engine = MakeEngine("file:" + TempDir());
-  const std::vector<PhysicalDiskId> locations = {0, 0, 0};
-  ASSERT_TRUE(engine->PlaceObject(1, locations).ok());
-  ASSERT_TRUE(engine->ApplyMove({1, 1}, 0, 5).ok());
-  EXPECT_EQ(engine->stats().moves_applied, 1);
+  BlockStore store;
+  store.AttachIoEngine(engine.get());
+  ASSERT_TRUE(store.PlaceObject(1, {0, 0, 0}).ok());
+  const int64_t revision = store.mutation_revision();
+  EXPECT_EQ(store
+                .ApplyMove(BlockMove{.block = {1, 1},
+                                     .from_physical = 0,
+                                     .to_physical = 5})
+                .code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(*store.LocationOf({1, 1}), 0);
+  EXPECT_EQ(store.mutation_revision(), revision);
+  ExpectImagesIntact(*engine, 1, 3);
+
+  // Real bytes move one way: staged, copied, then committed.
+  ASSERT_TRUE(store.StageCopy({1, 1}, 5).ok());
+  std::vector<BlockRef> failed;
+  ASSERT_TRUE(engine->FinishMigrationRound(&failed).ok());
+  ASSERT_TRUE(failed.empty());
+  ASSERT_TRUE(store.CommitStagedMove({1, 1}, 0, 5).ok());
+  EXPECT_EQ(*store.LocationOf({1, 1}), 5);
   ExpectImagesIntact(*engine, 1, 3);
 }
 

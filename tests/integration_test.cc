@@ -149,7 +149,7 @@ TEST(ServerIntegrationTest, ToleranceDrivenFullRedistribution) {
   ServerConfig config;
   config.initial_disks = 8;
   config.bits = 32;
-  config.tolerance_eps = 0.05;
+  config.governor_eps = 0.05;
   config.master_seed = 7;
   auto server = std::move(CmServer::Create(config)).value();
   ASSERT_TRUE(server->AddObject(1, 2000).ok());

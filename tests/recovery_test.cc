@@ -5,7 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include "faults/replication.h"
 #include "random/sequence.h"
 
 namespace scaddar {
@@ -17,16 +16,24 @@ std::vector<uint64_t> MakeX0(uint64_t seed, int64_t n) {
       .Materialize(n);
 }
 
+// Disks of object 1's copies: the primary of block i is row i, its mirror
+// row blocks + i.
+std::vector<PhysicalDiskId> CopyRows(const ScaddarPolicy& policy) {
+  std::vector<PhysicalDiskId> rows;
+  policy.LocateAllBlocks(1, rows);
+  return rows;
+}
+
 // Builds a mirrored policy, records the pre-failure copy sets, fails
 // `slot`, and returns (policy-after, plan).
 struct Scenario {
   Scenario(int64_t n0, int64_t blocks, DiskSlot failed_slot)
       : policy(n0) {
-    SCADDAR_CHECK(policy.AddObject(1, MakeX0(9, blocks)).ok());
-    const ReplicatedPlacement mirror(&policy, 2);
+    SCADDAR_CHECK(policy.AddObject(1, MakeX0(9, blocks), 2).ok());
+    const std::vector<PhysicalDiskId> rows = CopyRows(policy);
     for (BlockIndex i = 0; i < blocks; ++i) {
-      before_copies[i] = {mirror.ReplicaOf(1, i, 0),
-                          mirror.ReplicaOf(1, i, 1)};
+      before_copies[i] = {rows[static_cast<size_t>(i)],
+                          rows[static_cast<size_t>(blocks + i)]};
     }
     failed = policy.log().physical_disks()[static_cast<size_t>(failed_slot)];
     SCADDAR_CHECK(
@@ -93,11 +100,11 @@ TEST(RecoveryTest, ExecutionRestoresFullRedundancy) {
     copies[action.block.block].insert(action.write_to);
   }
   // Every block must now be present at its post-failure primary AND mirror.
-  const ReplicatedPlacement mirror(&scenario.policy, 2);
+  const std::vector<PhysicalDiskId> rows = CopyRows(scenario.policy);
   for (const auto& [block, replicas] : copies) {
-    EXPECT_TRUE(replicas.contains(mirror.ReplicaOf(1, block, 0)))
+    EXPECT_TRUE(replicas.contains(rows[static_cast<size_t>(block)]))
         << "block " << block;
-    EXPECT_TRUE(replicas.contains(mirror.ReplicaOf(1, block, 1)))
+    EXPECT_TRUE(replicas.contains(rows[static_cast<size_t>(6000 + block)]))
         << "block " << block;
   }
 }
@@ -111,12 +118,13 @@ TEST(RecoveryTest, LossAccountingMatchesPreFailureLayout) {
   int64_t expected_primaries = 0;
   int64_t expected_mirrors = 0;
   ScaddarPolicy reference(8);
-  ASSERT_TRUE(reference.AddObject(1, MakeX0(9, 8000)).ok());
-  const ReplicatedPlacement mirror(&reference, 2);
+  ASSERT_TRUE(reference.AddObject(1, MakeX0(9, 8000), 2).ok());
+  const std::vector<PhysicalDiskId> rows = CopyRows(reference);
   for (BlockIndex i = 0; i < 8000; ++i) {
     expected_primaries +=
-        mirror.ReplicaOf(1, i, 0) == scenario.failed ? 1 : 0;
-    expected_mirrors += mirror.ReplicaOf(1, i, 1) == scenario.failed ? 1 : 0;
+        rows[static_cast<size_t>(i)] == scenario.failed ? 1 : 0;
+    expected_mirrors +=
+        rows[static_cast<size_t>(8000 + i)] == scenario.failed ? 1 : 0;
   }
   EXPECT_EQ(plan->lost_primaries, expected_primaries);
   EXPECT_EQ(plan->lost_mirrors, expected_mirrors);

@@ -1,9 +1,9 @@
-#include "faults/replication.h"
-
 #include <set>
+#include <unordered_set>
 
 #include <gtest/gtest.h>
 
+#include "placement/scaddar_policy.h"
 #include "random/distributions.h"
 #include "random/sequence.h"
 #include "stats/chi_square.h"
@@ -16,6 +16,52 @@ std::vector<uint64_t> MakeX0(uint64_t seed, int64_t n) {
       .value()
       .Materialize(n);
 }
+
+/// Disks of every copy of object 1, as the batch AF() resolves them: copy
+/// `r` of block `i` is row `r*B + i`.
+struct Copies {
+  explicit Copies(const ScaddarPolicy& policy)
+      : blocks(policy.NumBlocksOf(1)), replicas(policy.CopiesOf(1)) {
+    policy.LocateAllBlocks(1, rows);
+  }
+
+  PhysicalDiskId Of(BlockIndex block, int64_t r) const {
+    return rows[static_cast<size_t>(r * blocks + block)];
+  }
+
+  std::vector<PhysicalDiskId> AllOf(BlockIndex block) const {
+    std::vector<PhysicalDiskId> disks;
+    for (int64_t r = 0; r < replicas; ++r) {
+      disks.push_back(Of(block, r));
+    }
+    return disks;
+  }
+
+  /// The first copy off every failed disk, in copy order; NotFound if
+  /// every copy's disk failed.
+  StatusOr<PhysicalDiskId> ForRead(
+      BlockIndex block, const std::unordered_set<PhysicalDiskId>& failed) const {
+    for (int64_t r = 0; r < replicas; ++r) {
+      if (!failed.contains(Of(block, r))) {
+        return Of(block, r);
+      }
+    }
+    return NotFoundError("every copy is on a failed disk");
+  }
+
+  /// Per-disk block counts over every copy (ids are slots before any op).
+  std::vector<int64_t> PerDiskCounts(int64_t disks) const {
+    std::vector<int64_t> counts(static_cast<size_t>(disks), 0);
+    for (const PhysicalDiskId disk : rows) {
+      ++counts[static_cast<size_t>(disk)];
+    }
+    return counts;
+  }
+
+  int64_t blocks;
+  int64_t replicas;
+  std::vector<PhysicalDiskId> rows;
+};
 
 TEST(ReplicaOffsetTest, DistinctWhenDisksSuffice) {
   for (const int64_t n : {3, 4, 7, 10, 16}) {
@@ -48,30 +94,28 @@ TEST(ReplicaOffsetTest, TwoWayIsThePapersMirror) {
   EXPECT_EQ(ReplicaOffset(100, 2, 1), 50);
 }
 
-TEST(ReplicatedPlacementTest, MirrorMasksEverySingleDiskFailure) {
+TEST(CopyRowsTest, MirrorMasksEverySingleDiskFailure) {
   ScaddarPolicy policy(6);
-  ASSERT_TRUE(policy.AddObject(1, MakeX0(5, 3000)).ok());
-  const ReplicatedPlacement mirror(&policy, 2);
+  ASSERT_TRUE(policy.AddObject(1, MakeX0(5, 3000), 2).ok());
+  const Copies mirror(policy);
   for (PhysicalDiskId failed = 0; failed < 6; ++failed) {
     const std::unordered_set<PhysicalDiskId> failures = {failed};
     for (BlockIndex i = 0; i < 3000; ++i) {
-      const StatusOr<PhysicalDiskId> read =
-          mirror.LocateForRead(1, i, failures);
+      const StatusOr<PhysicalDiskId> read = mirror.ForRead(i, failures);
       ASSERT_TRUE(read.ok()) << "disk " << failed << " block " << i;
       EXPECT_NE(*read, failed);
       // A healthy primary is always the one read.
-      if (mirror.ReplicaOf(1, i, 0) != failed) {
-        EXPECT_EQ(*read, mirror.ReplicaOf(1, i, 0));
+      if (mirror.Of(i, 0) != failed) {
+        EXPECT_EQ(*read, mirror.Of(i, 0));
       }
     }
   }
 }
 
-TEST(ReplicatedPlacementTest, MirroredLoadIsStillBalanced) {
+TEST(CopyRowsTest, MirroredLoadIsStillBalanced) {
   ScaddarPolicy policy(8);
-  ASSERT_TRUE(policy.AddObject(1, MakeX0(7, 40000)).ok());
-  const ReplicatedPlacement mirror(&policy, 2);
-  const std::vector<int64_t> counts = mirror.PerDiskCountsWithReplicas();
+  ASSERT_TRUE(policy.AddObject(1, MakeX0(7, 40000), 2).ok());
+  const std::vector<int64_t> counts = Copies(policy).PerDiskCounts(8);
   int64_t total = 0;
   for (const int64_t count : counts) {
     total += count;
@@ -80,24 +124,27 @@ TEST(ReplicatedPlacementTest, MirroredLoadIsStillBalanced) {
   EXPECT_TRUE(ChiSquareUniform(counts).IsUniform(0.001));
 }
 
-TEST(ReplicatedPlacementTest, ReplicasOnDistinctDisks) {
-  ScaddarPolicy policy(8);
-  ASSERT_TRUE(policy.AddObject(1, MakeX0(2, 2000)).ok());
+TEST(CopyRowsTest, ReplicasOnDistinctDisks) {
   for (const int64_t replicas : {2, 3, 4}) {
-    const ReplicatedPlacement placement(&policy, replicas);
+    ScaddarPolicy policy(8);
+    ASSERT_TRUE(policy.AddObject(1, MakeX0(2, 2000), replicas).ok());
+    const Copies copies(policy);
     for (BlockIndex i = 0; i < 2000; ++i) {
-      const std::vector<PhysicalDiskId> disks = placement.ReplicasOf(1, i);
+      const std::vector<PhysicalDiskId> disks = copies.AllOf(i);
       const std::set<PhysicalDiskId> unique(disks.begin(), disks.end());
       EXPECT_EQ(static_cast<int64_t>(unique.size()), replicas) << i;
     }
   }
 }
 
-TEST(ReplicatedPlacementTest, SurvivesUpToRMinusOneFailures) {
+TEST(CopyRowsTest, SurvivesUpToRMinusOneFailures) {
   ScaddarPolicy policy(9);
-  ASSERT_TRUE(policy.AddObject(1, MakeX0(3, 1500)).ok());
-  const ReplicatedPlacement placement(&policy, 3);
-  EXPECT_EQ(placement.MaxFailuresTolerated(), 2);
+  ASSERT_TRUE(policy.AddObject(1, MakeX0(3, 1500), 3).ok());
+  const Copies copies(policy);
+  // R - 1 = 2 failures are tolerated while the disks keep the R offsets
+  // distinct.
+  EXPECT_EQ(copies.replicas - 1, 2);
+  EXPECT_GE(policy.current_disks(), copies.replicas);
   auto prng = MakePrng(PrngKind::kSplitMix64, 7);
   for (int trial = 0; trial < 30; ++trial) {
     const std::vector<int64_t> failed_slots =
@@ -105,35 +152,33 @@ TEST(ReplicatedPlacementTest, SurvivesUpToRMinusOneFailures) {
     const std::unordered_set<PhysicalDiskId> failed(failed_slots.begin(),
                                                     failed_slots.end());
     for (BlockIndex i = 0; i < 1500; ++i) {
-      const StatusOr<PhysicalDiskId> read =
-          placement.LocateForRead(1, i, failed);
+      const StatusOr<PhysicalDiskId> read = copies.ForRead(i, failed);
       ASSERT_TRUE(read.ok()) << "trial " << trial << " block " << i;
       EXPECT_FALSE(failed.contains(*read));
     }
   }
 }
 
-TEST(ReplicatedPlacementTest, ThreeFailuresCanLoseTriplicatedBlocks) {
+TEST(CopyRowsTest, ThreeFailuresCanLoseTriplicatedBlocks) {
   ScaddarPolicy policy(9);
-  ASSERT_TRUE(policy.AddObject(1, MakeX0(4, 3000)).ok());
-  const ReplicatedPlacement placement(&policy, 3);
+  ASSERT_TRUE(policy.AddObject(1, MakeX0(4, 3000), 3).ok());
+  const Copies copies(policy);
   // Fail an aligned triple {s, s+3, s+6}: blocks whose primary slot is in
   // that coset lose all three replicas.
   const std::unordered_set<PhysicalDiskId> failed = {0, 3, 6};
   int64_t lost = 0;
   for (BlockIndex i = 0; i < 3000; ++i) {
-    if (!placement.LocateForRead(1, i, failed).ok()) {
+    if (!copies.ForRead(i, failed).ok()) {
       ++lost;
     }
   }
   EXPECT_NEAR(static_cast<double>(lost) / 3000.0, 3.0 / 9.0, 0.04);
 }
 
-TEST(ReplicatedPlacementTest, ReplicatedLoadBalanced) {
+TEST(CopyRowsTest, ReplicatedLoadBalanced) {
   ScaddarPolicy policy(8);
-  ASSERT_TRUE(policy.AddObject(1, MakeX0(5, 40000)).ok());
-  const ReplicatedPlacement placement(&policy, 3);
-  const std::vector<int64_t> counts = placement.PerDiskCountsWithReplicas();
+  ASSERT_TRUE(policy.AddObject(1, MakeX0(5, 40000), 3).ok());
+  const std::vector<int64_t> counts = Copies(policy).PerDiskCounts(8);
   int64_t total = 0;
   for (const int64_t count : counts) {
     total += count;
@@ -142,37 +187,33 @@ TEST(ReplicatedPlacementTest, ReplicatedLoadBalanced) {
   EXPECT_TRUE(ChiSquareUniform(counts).IsUniform(0.001));
 }
 
-TEST(ReplicatedPlacementTest, PriorityReadPrefersLowestHealthyReplica) {
+TEST(CopyRowsTest, PriorityReadPrefersLowestHealthyReplica) {
   ScaddarPolicy policy(6);
-  ASSERT_TRUE(policy.AddObject(1, MakeX0(6, 200)).ok());
-  const ReplicatedPlacement placement(&policy, 3);
+  ASSERT_TRUE(policy.AddObject(1, MakeX0(6, 200), 3).ok());
+  const Copies copies(policy);
   for (BlockIndex i = 0; i < 200; ++i) {
-    const PhysicalDiskId primary = placement.ReplicaOf(1, i, 0);
-    EXPECT_EQ(*placement.LocateForRead(1, i, {}), primary);
-    const PhysicalDiskId second = placement.ReplicaOf(1, i, 1);
-    EXPECT_EQ(*placement.LocateForRead(1, i, {primary}), second);
+    const PhysicalDiskId primary = copies.Of(i, 0);
+    EXPECT_EQ(*copies.ForRead(i, {}), primary);
+    const PhysicalDiskId second = copies.Of(i, 1);
+    EXPECT_EQ(*copies.ForRead(i, {primary}), second);
   }
 }
 
-TEST(ReplicatedPlacementTest, ScalesWithTheOpLog) {
+TEST(CopyRowsTest, ScalesWithTheOpLog) {
   ScaddarPolicy policy(6);
-  ASSERT_TRUE(policy.AddObject(1, MakeX0(7, 1000)).ok());
+  ASSERT_TRUE(policy.AddObject(1, MakeX0(7, 1000), 3).ok());
   ASSERT_TRUE(policy.ApplyOp(ScalingOp::Add(3).value()).ok());
   ASSERT_TRUE(policy.ApplyOp(ScalingOp::Remove({1}).value()).ok());
-  const ReplicatedPlacement placement(&policy, 3);
+  const Copies copies(policy);
   for (BlockIndex i = 0; i < 1000; ++i) {
-    const std::vector<PhysicalDiskId> disks = placement.ReplicasOf(1, i);
+    const std::vector<PhysicalDiskId> disks = copies.AllOf(i);
     const std::set<PhysicalDiskId> unique(disks.begin(), disks.end());
     EXPECT_EQ(unique.size(), 3u);
   }
 }
 
-TEST(ReplicatedPlacementDeathTest, Validation) {
-  ScaddarPolicy policy(4);
-  EXPECT_DEATH(ReplicatedPlacement(nullptr, 2), "SCADDAR_CHECK");
-  EXPECT_DEATH(ReplicatedPlacement(&policy, 1), "SCADDAR_CHECK");
-  EXPECT_DEATH(ReplicaOffset(10, 3, 3),
-               "SCADDAR_CHECK");
+TEST(ReplicaOffsetDeathTest, CopyOutOfRange) {
+  EXPECT_DEATH(ReplicaOffset(10, 3, 3), "SCADDAR_CHECK");
 }
 
 }  // namespace

@@ -206,7 +206,7 @@ TEST(CmServerTest, StreamsKeepPlayingDuringMigration) {
 TEST(CmServerTest, ToleranceGateUsesConfiguredBits) {
   ServerConfig config = SmallConfig();
   config.bits = 16;  // Tiny range: very few ops allowed.
-  config.tolerance_eps = 0.05;
+  config.governor_eps = 0.05;
   auto server = MakeServer(config);
   const ScalingOp add = ScalingOp::Add(1).value();
   int supported = 0;
