@@ -1,9 +1,9 @@
 // EXP-S (extension) — the serving path under REMAP chain depth: scheduler
-// round throughput (requests/s) and p50/p99 round latency for the batched
-// cursor path vs. the scalar per-block Locate path, at op-log depths
-// 0 / 8 / 32. This isolates what the batch engine buys on the *request*
-// path: per-block chain replays vs. windowed batch prefetch. The scalar and
-// store rows run the per-block rounds of tests/serving_oracle.h.
+// round throughput (requests/s) and p50/p99 round latency for the
+// production row read (`batch`: `RoundScheduler::RunBatched`, one load from
+// the stream's store row per request) vs. the scalar per-block Locate path,
+// at op-log depths 0 / 8 / 32. The scalar and store rows run the per-block
+// rounds of tests/serving_oracle.h.
 //
 // Usage: bench_serving [--smoke]
 //   --smoke   tiny sizes, no BENCH_serving.json (CI wiring check only).
@@ -15,8 +15,6 @@
 
 #include "bench/bench_util.h"
 #include "placement/scaddar_policy.h"
-#include "server/location_cursor.h"
-#include "server/migration.h"
 #include "server/scheduler.h"
 #include "storage/block_store.h"
 #include "tests/serving_oracle.h"
@@ -29,9 +27,9 @@ struct Sizes {
   int64_t blocks_each = 20'000;
   int64_t streams = 128;
   int64_t rounds = 400;
-  // Untimed rounds first, so the cold start (every window filling at
-  // once in round 0) doesn't masquerade as steady-state cost. Recurring
-  // refills *are* steady-state and stay inside the timed horizon.
+  // Untimed rounds first, so the cold start (every stream fetching its
+  // row and every cache line cold in round 0) doesn't masquerade as
+  // steady-state cost.
   int64_t warmup_rounds = 64;
   // Each path is measured this many times on a fresh fixture and the
   // fastest repetition wins — rounds are microseconds long, so a single
@@ -87,7 +85,6 @@ struct Fixture {
   ScaddarPolicy policy;
   DiskArray disks;
   BlockStore store;
-  MigrationExecutor migration;
   RoundScheduler scheduler;
   std::vector<Stream> streams;
 };
@@ -117,8 +114,7 @@ PathResult MeasureBest(int64_t ops, const Sizes& sizes, RoundFn&& run_round) {
 
 PathResult MeasureBatched(int64_t ops, const Sizes& sizes) {
   return MeasureBest(ops, sizes, [](Fixture& f) {
-    return f.scheduler.RunBatched(f.streams, f.policy, f.migration, f.store,
-                                  f.disks, nullptr);
+    return f.scheduler.RunBatched(f.streams, f.store, f.disks, nullptr);
   });
 }
 
@@ -158,7 +154,7 @@ int main(int argc, char** argv) {
     }
   }
   bench::PrintHeader("EXP-S",
-                     "serving path: batched cursors vs. scalar Locate");
+                     "serving path: store-row reads vs. scalar Locate");
   Sizes sizes;
   if (smoke) {
     sizes = Sizes{.objects = 4, .blocks_each = 600, .streams = 8,
@@ -197,12 +193,10 @@ int main(int argc, char** argv) {
   bench::PrintRule();
   std::printf(
       "Expected shape: the scalar path replays the object's REMAP chain per\n"
-      "request, so its cost grows with op-log depth; the batched path pays\n"
-      "one windowed batch refill per %lld requests and stays flat. The\n"
-      "store path (hash lookup per request) sits between them and is depth-\n"
-      "independent, but unlike the cursor it cannot serve from a compiled\n"
-      "placement snapshot when the store is clean.\n",
-      static_cast<long long>(LocationCursor::kDefaultWindow));
+      "request, so its cost grows with op-log depth. The batch path reads\n"
+      "the stream's store row, one load per request, and the store path one\n"
+      "hash lookup per request; neither depends on op-log depth, and the\n"
+      "batch path is the faster of the two.\n");
   if (!smoke) {
     SCADDAR_CHECK(json.WriteFile("BENCH_serving.json"));
     std::printf("wrote BENCH_serving.json\n");

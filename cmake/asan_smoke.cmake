@@ -1,9 +1,10 @@
 # Configures, builds and runs the serving-path tests under AddressSanitizer
 # in a nested build tree. Driven by the `asan_smoke` ctest entry so the
-# cursor windows, span-based store rows, the migration executor's indexed
+# streams' pointers into store rows (re-fetched when the store's layout key
+# moves; a stale one reads freed memory), the migration executor's indexed
 # pending set (slot positions into a vector that compacts; one- and
 # two-phase rounds), the server's one-pass stream compaction (moves
-# streams that own cursor windows), the disk table indexed by physical id,
+# streams and their row pointers), the disk table indexed by physical id,
 # the scenario interpreter on both targets (the run-owned checkpoint
 # manager and its detach on every exit path, the traffic engine's stream
 # views into shard stream vectors) and the one snapshot decoder (torn,
@@ -30,7 +31,7 @@ endif()
 
 execute_process(
   COMMAND ${CMAKE_COMMAND} --build ${BINARY_DIR}
-          --target location_cursor_test serving_equivalence_test
+          --target stream_row_test serving_equivalence_test
                    fault_injection_test traffic_engine_test cluster_test
                    storage_backend_test governor_property_test
                    migration_test block_io_recovery_test server_test
@@ -44,7 +45,7 @@ endif()
 
 execute_process(
   COMMAND ${CMAKE_CTEST_COMMAND} --test-dir ${BINARY_DIR}
-          -R "location_cursor_test|serving_equivalence_test|^fault_injection_test$|traffic_engine_test|^cluster_test$|storage_backend_test|governor_property_test|^migration_test$|^block_io_recovery_test$|^server_test$|^multirate_test$|^vcr_test$|^disk_array_test$|^block_store_test$|^scenario_test$|^cluster_equivalence_test$|^snapshot_test$|^replicated_server_test$|^fuzz_test$"
+          -R "^stream_row_test$|serving_equivalence_test|^fault_injection_test$|traffic_engine_test|^cluster_test$|storage_backend_test|governor_property_test|^migration_test$|^block_io_recovery_test$|^server_test$|^multirate_test$|^vcr_test$|^disk_array_test$|^block_store_test$|^scenario_test$|^cluster_equivalence_test$|^snapshot_test$|^replicated_server_test$|^fuzz_test$"
           --output-on-failure
   RESULT_VARIABLE test_result)
 if(test_result)

@@ -25,25 +25,13 @@ void MigrationExecutor::Push(BlockRef ref) {
   const auto slot = static_cast<int32_t>(entries_.size());
   entries_.push_back(Entry{ref, kUnresolved, slot});
   ++live_;
-  ++pending_per_object_[ref.object];
   dirty_ = true;
 }
 
 void MigrationExecutor::Retire(int32_t slot) {
-  Entry& entry = entries_[static_cast<size_t>(slot)];
-  entry.bucket = kRetired;
+  entries_[static_cast<size_t>(slot)].bucket = kRetired;
   --live_;
   ++dead_;
-  const auto it = pending_per_object_.find(entry.ref.object);
-  SCADDAR_CHECK(it != pending_per_object_.end());
-  if (--it->second == 0) {
-    pending_per_object_.erase(it);
-  }
-}
-
-int64_t MigrationExecutor::pending_for(ObjectId object) const {
-  const auto it = pending_per_object_.find(object);
-  return it == pending_per_object_.end() ? 0 : it->second;
 }
 
 std::vector<BlockRef> MigrationExecutor::QueueSnapshot() const {
@@ -67,8 +55,6 @@ void MigrationExecutor::ClearQueue() {
 
 void MigrationExecutor::Reset() {
   ClearQueue();
-  pending_per_object_.clear();
-  lost_.clear();
   crashed_ = false;
 }
 
@@ -193,13 +179,9 @@ void MigrationExecutor::Resolve(const BlockStore& store,
         const PhysicalDiskId target = targets[next_target++];
         const PhysicalDiskId via =
             copies > 1 || any_failed ? read_from(block) : source;
-        if (via < 0) {
-          // Lost: the entries leave the queue, but the row keeps
-          // disagreeing with AF(), so the object stays pending.
-          if (lost_.emplace(object, block).second) {
-            ++pending_per_object_[object];
-          }
-        } else if (source != target) {
+        // A lost block (`via` < 0) stays in place: its entries leave the
+        // queue.
+        if (via >= 0 && source != target) {
           const auto [it, inserted] = bucket_of.try_emplace(
               {source, via, target}, static_cast<int32_t>(buckets_.size()));
           if (inserted) {

@@ -16,4 +16,13 @@ void Stream::RestoreProgress(BlockIndex next_block, int64_t hiccups,
   playback_started_ = playback_started;
 }
 
+void Stream::FetchRow(const BlockStore& store) {
+  const StatusOr<std::span<const PhysicalDiskId>> row =
+      store.LocationsOf(object_);
+  // A stream's object stays in its server's store until the stream ends.
+  SCADDAR_CHECK(row.ok());
+  row_ = row->data();
+  row_key_ = store.layout_key();
+}
+
 }  // namespace scaddar

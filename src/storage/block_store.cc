@@ -1,12 +1,20 @@
 #include "storage/block_store.h"
 
 #include <algorithm>
+#include <atomic>
 
 #include "storage/block_io.h"
 
 namespace scaddar {
 
 namespace {
+
+/// Process-wide source of layout keys. Shards of a cluster mutate their
+/// stores from pool threads, so the counter is atomic.
+uint64_t NextLayoutKey() {
+  static std::atomic<uint64_t> next{1};
+  return next.fetch_add(1);
+}
 
 /// Blocks per disk of `row`, indexed by physical id (ids are small), or
 /// InvalidArgument if an id is negative. Ingest counts a row once and then
@@ -28,6 +36,9 @@ StatusOr<std::vector<int64_t>> CountPerDisk(
 
 }  // namespace
 
+BlockStore::BlockStore(DiskArray* disks)
+    : disks_(disks), layout_key_(NextLayoutKey()) {}
+
 Status BlockStore::PlaceObject(ObjectId id,
                                const std::vector<PhysicalDiskId>& locations) {
   if (locations.empty()) {
@@ -46,7 +57,7 @@ Status BlockStore::PlaceObject(ObjectId id,
   total_blocks_ += static_cast<int64_t>(locations.size());
   AdjustDisks(counts, 1);
   ++mutation_revision_;
-  ++row_revisions_[id];
+  layout_key_ = NextLayoutKey();
   return OkStatus();
 }
 
@@ -71,7 +82,7 @@ Status BlockStore::DropObject(ObjectId id) {
   total_blocks_ -= static_cast<int64_t>(it->second.size());
   locations_.erase(it);
   ++mutation_revision_;
-  ++row_revisions_[id];
+  layout_key_ = NextLayoutKey();
   return OkStatus();
 }
 
@@ -82,11 +93,6 @@ StatusOr<std::span<const PhysicalDiskId>> BlockStore::LocationsOf(
     return NotFoundError("object not materialized");
   }
   return std::span<const PhysicalDiskId>(it->second);
-}
-
-int64_t BlockStore::RowRevision(ObjectId id) const {
-  const auto it = row_revisions_.find(id);
-  return it == row_revisions_.end() ? 0 : it->second;
 }
 
 StatusOr<PhysicalDiskId> BlockStore::LocationOf(BlockRef ref) const {
@@ -123,7 +129,6 @@ Status BlockStore::ApplyMove(const BlockMove& move) {
   AdjustDisk(move.from_physical, -1);
   AdjustDisk(move.to_physical, 1);
   ++mutation_revision_;
-  ++row_revisions_[move.block.object];
   return OkStatus();
 }
 
@@ -188,7 +193,6 @@ Status BlockStore::CommitStagedMove(BlockRef ref, PhysicalDiskId from,
   --staged_count_;
   AdjustDisk(from, -1);
   ++mutation_revision_;
-  ++row_revisions_[ref.object];
   return OkStatus();
 }
 

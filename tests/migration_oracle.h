@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <deque>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "core/types.h"
@@ -23,10 +22,7 @@ namespace scaddar {
 /// (no journal, no injector).
 class ScalarMigrationOracle {
  public:
-  void Push(BlockRef ref) {
-    queue_.push_back(ref);
-    ++pending_per_object_[ref.object];
-  }
+  void Push(BlockRef ref) { queue_.push_back(ref); }
 
   /// Queues what `MigrationExecutor::EnqueueReconciliation` would queue.
   void EnqueueReconciliation(const BlockStore& store,
@@ -82,10 +78,6 @@ class ScalarMigrationOracle {
     return std::vector<BlockRef>(queue_.begin(), queue_.end());
   }
   int64_t pending() const { return static_cast<int64_t>(queue_.size()); }
-  int64_t pending_for(ObjectId object) const {
-    const auto it = pending_per_object_.find(object);
-    return it == pending_per_object_.end() ? 0 : it->second;
-  }
   bool idle() const { return queue_.empty(); }
   int64_t total_moved() const { return total_moved_; }
 
@@ -93,16 +85,10 @@ class ScalarMigrationOracle {
   BlockRef PopFront() {
     const BlockRef ref = queue_.front();
     queue_.pop_front();
-    const auto it = pending_per_object_.find(ref.object);
-    SCADDAR_CHECK(it != pending_per_object_.end());
-    if (--it->second == 0) {
-      pending_per_object_.erase(it);
-    }
     return ref;
   }
 
   std::deque<BlockRef> queue_;
-  std::unordered_map<ObjectId, int64_t> pending_per_object_;
   int64_t total_moved_ = 0;
 };
 

@@ -30,8 +30,7 @@ struct Farm {
 
   RoundServiceResult Serve(std::vector<Stream>& streams,
                            std::vector<int64_t>* leftover = nullptr) {
-    return scheduler.RunBatched(streams, policy, migration, store, disks,
-                                leftover);
+    return scheduler.RunBatched(streams, store, disks, leftover);
   }
 
   ScaddarPolicy policy;
@@ -94,14 +93,14 @@ TEST(RoundSchedulerTest, FinishedStreamsAreSkipped) {
 
 TEST(RoundSchedulerTest, ReadsRouteToMaterializedLocation) {
   // AF() says disk 0, but the block still sits on disk 1 with its
-  // reconciliation move pending: the cursor must bypass its AF() window and
-  // read the store row, or it would serve a block the disk does not hold.
+  // reconciliation move pending: the read must go to the store row, or it
+  // would serve a block the disk does not hold.
   Farm farm(2, 1, {0});
   ASSERT_EQ(farm.policy.Locate(1, 0), 0);
   ASSERT_TRUE(farm.store.DropObject(1).ok());
   ASSERT_TRUE(farm.store.PlaceObject(1, {1}).ok());
   farm.migration.EnqueueReconciliation(farm.store, farm.policy);
-  ASSERT_EQ(farm.migration.pending_for(1), 1);
+  ASSERT_EQ(farm.migration.pending(), 1);
   std::vector<Stream> streams;
   streams.emplace_back(0, 1, 1, 0);
   const RoundServiceResult result = farm.Serve(streams);
