@@ -333,10 +333,9 @@ class CmServer {
 
   /// Startup latency (rounds from `StartStream` to the first delivered
   /// block) of every stream that has started playback, in start order.
-  /// `Tick` appends an entry the round a stream's first block lands; the
-  /// percentile reports (p99/p999) in the benches and scenario summaries
-  /// read this. A stream that seeks before its first delivery registers
-  /// with the latency observed at its new position.
+  /// `Tick`'s serving round appends an entry when it delivers a stream's
+  /// first block; a seek before then delivers nothing. The percentile
+  /// reports (p99/p999) in the benches and scenario summaries read this.
   const std::vector<int64_t>& startup_latencies() const {
     return startup_latencies_;
   }

@@ -51,6 +51,23 @@ TEST(ServerVcrTest, PausedStreamConsumesNothing) {
   EXPECT_EQ(server->streams()[0].next_block(), 2);
 }
 
+TEST(ServerVcrTest, StartupLatencyWaitsForFirstDeliveredBlock) {
+  // Paused and seeked before its first block, the stream has received
+  // nothing: its startup sample is taken when a block is delivered.
+  auto server = MakeServer();
+  ASSERT_TRUE(server->AddObject(1, 100).ok());
+  const int64_t id = *server->StartStream(1);
+  ASSERT_TRUE(server->PauseStream(id).ok());
+  ASSERT_TRUE(server->SeekStream(id, 10).ok());
+  for (int round = 0; round < 5; ++round) {
+    EXPECT_EQ(server->Tick().served, 0);
+  }
+  EXPECT_TRUE(server->startup_latencies().empty());
+  ASSERT_TRUE(server->ResumeStream(id).ok());
+  EXPECT_EQ(server->Tick().served, 1);
+  EXPECT_EQ(server->startup_latencies(), std::vector<int64_t>{5});
+}
+
 TEST(ServerVcrTest, SeekJumpsPlayback) {
   auto server = MakeServer();
   ASSERT_TRUE(server->AddObject(1, 100).ok());
