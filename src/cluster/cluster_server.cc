@@ -20,13 +20,15 @@ constexpr int kMemberShift = 40;
 
 /// A shard ticks on a woken worker only when its smoothed tick time is at
 /// least this many times the round's fork/join cost. On a 4-vCPU host the
-/// fork/join costs 18 µs empty and 19–28 µs inside a round. At
-/// `e2e_bench`'s `cluster_scale_out` size (64 disks per shard, 4 arrivals
-/// per round) a shard tick takes ~19 µs, and a pooled round spent 22 µs
-/// more CPU than a serial one to save 3 µs of wall time. At 256 disks per
-/// shard and 16 arrivals a tick takes ~103 µs, and rounds that always
-/// forked took 0.68–0.74x the serial wall time. Twice the cost separates
-/// the two.
+/// fork/join costs 18 µs empty and 19–28 µs inside a round. The margin was
+/// set when a shard tick took ~19 µs at `e2e_bench`'s `cluster_scale_out`
+/// size (64 disks per shard, 4 arrivals per round), where a pooled round
+/// spent 22 µs more CPU than a serial one to save 3 µs of wall time, and
+/// ~103 µs at 256 disks per shard and 16 arrivals, where rounds that
+/// always forked took 0.68–0.74x the serial wall time. Twice the cost
+/// separates the two. Since streams read store rows directly, those ticks
+/// take ~7 and ~42 µs (median shard tick of one run each), so the heavier
+/// size sits at the margin and forks in about 5% of its rounds.
 constexpr double kForkMargin = 2.0;
 
 }  // namespace
