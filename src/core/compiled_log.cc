@@ -9,11 +9,14 @@ namespace scaddar {
 namespace internal {
 namespace {
 
-// Portable step-major kernel; the oracle every vector backend must match
-// bit-for-bit. The renumber-table index `r` is mathematically < n_prev
-// (FastDiv64 is exact), so the in-range DCHECK only fires on a corrupted
-// program — it is what keeps the unchecked table load (and the vector
-// backends' gathered twin) from silently reading out of bounds.
+// Portable step-major kernel; the oracle the AVX2 backend must match
+// bit-for-bit, and the single-block path (`CompiledLog::FinalX`). An add
+// is Eq. 5 (stay on r unless (q mod n_cur) lands on a new slot), a removal
+// Eq. 3 with the precompiled new() table. The renumber-table index `r` is
+// mathematically < n_prev (FastDiv64 is exact), so the in-range DCHECK only
+// fires on a corrupted program — it is what keeps the unchecked table load
+// (and the AVX2 backend's gathered twin) from silently reading out of
+// bounds.
 void AdvanceScalar(const CompiledStep* steps, const int32_t* renumber,
                    uint64_t* xs, size_t count, size_t from, size_t to) {
   for (size_t j = from; j < to; ++j) {
@@ -56,13 +59,7 @@ const KernelBackend& ScalarBackend() {
 }
 
 const KernelBackend& ActiveBackend() {
-  const SimdLevel level = ActiveSimdLevel();
-  if (level >= SimdLevel::kAvx512) {
-    if (const KernelBackend* avx512 = Avx512Backend()) {
-      return *avx512;
-    }
-  }
-  if (level >= SimdLevel::kAvx2) {
+  if (ActiveSimdLevel() >= SimdLevel::kAvx2) {
     if (const KernelBackend* avx2 = Avx2Backend()) {
       return *avx2;
     }
@@ -107,26 +104,8 @@ int64_t CompiledLog::disks_after(Epoch j) const {
 uint64_t CompiledLog::FinalX(uint64_t x0, Epoch from) const {
   SCADDAR_CHECK(from >= 0 && from <= num_ops());
   uint64_t x = x0;
-  for (size_t j = static_cast<size_t>(from); j < steps_.size(); ++j) {
-    const internal::CompiledStep& step = steps_[j];
-    const auto [q, r] = step.div_prev.DivMod(x);
-    if (step.is_add) {
-      // Eq. 5: stay on r if (q mod n_cur) < n_prev, else move to it.
-      const auto [q_hi, target] = step.div_cur.DivMod(q);
-      x = q_hi * static_cast<uint64_t>(step.n_cur) +
-          (target < static_cast<uint64_t>(step.n_prev) ? r : target);
-    } else {
-      // Eq. 3 with the precompiled new() table.
-      SCADDAR_DCHECK(r < static_cast<uint64_t>(step.n_prev));
-      const int32_t renumbered =
-          renumber_[static_cast<size_t>(step.renumber_offset) +
-                    static_cast<size_t>(r)];
-      x = renumbered == internal::kRemovedSlot
-              ? q
-              : q * static_cast<uint64_t>(step.n_cur) +
-                    static_cast<uint64_t>(renumbered);
-    }
-  }
+  internal::AdvanceScalar(steps_.data(), renumber_.data(), &x, 1,
+                          static_cast<size_t>(from), steps_.size());
   return x;
 }
 

@@ -13,8 +13,8 @@ namespace scaddar {
 
 namespace internal {
 
-/// One compiled scaling operation: the flattened step layout every kernel
-/// backend consumes. Plain data so a backend can be a free function over
+/// One compiled scaling operation: the flattened step layout both kernel
+/// backends consume. Plain data so a backend can be a free function over
 /// raw arrays (the AVX2 backend lives in its own -mavx2 translation unit
 /// and cannot be a member of `CompiledLog`).
 struct CompiledStep {
@@ -30,12 +30,12 @@ struct CompiledStep {
 
 inline constexpr int32_t kRemovedSlot = -1;
 
-/// One kernel backend of the batch REMAP engine. Every backend is bit-exact
-/// with every other: `advance` replays compiled steps [from, to) over
-/// `xs[0, count)` step-major, `mod` reduces each element modulo the
-/// divisor. The scalar backend is always available; vector backends are
-/// present only when the binary was built with their instruction set and
-/// execute only when the CPU reports it at runtime (`ActiveSimdLevel`).
+/// One kernel backend of the batch REMAP engine. The two backends are
+/// bit-exact with each other: `advance` replays compiled steps [from, to)
+/// over `xs[0, count)` step-major, `mod` reduces each element modulo the
+/// divisor. The scalar backend is always available; the AVX2 backend is
+/// present only when the binary was built with -mavx2 and executes only
+/// when the CPU reports AVX2 at runtime (`ActiveSimdLevel`).
 struct KernelBackend {
   using AdvanceFn = void (*)(const CompiledStep* steps,
                              const int32_t* renumber, uint64_t* xs,
@@ -56,13 +56,8 @@ const KernelBackend& ScalarBackend();
 /// is `DetectedSimdLevel()`.
 const KernelBackend* Avx2Backend();
 
-/// The AVX-512 backend (compiled_log_simd512.cc), or nullptr when the
-/// binary was built without AVX-512F/DQ codegen. Same build-vs-runtime
-/// split as `Avx2Backend`.
-const KernelBackend* Avx512Backend();
-
-/// The backend matching `ActiveSimdLevel()` right now, falling back to
-/// the best lower level whose backend is present in this binary.
+/// The backend matching `ActiveSimdLevel()` right now: AVX2 when that
+/// level is active and its backend is present in this binary, else scalar.
 const KernelBackend& ActiveBackend();
 
 /// Conservative upper bound on any chain value after `step`, given that
@@ -117,16 +112,17 @@ inline uint64_t AdvanceValueBound(const CompiledStep& step, uint64_t bound) {
 /// check anywhere in the hot loop. `bench_remap_throughput` measures the
 /// step-major speedup over per-call replay.
 ///
-/// The batch entry points are backed by interchangeable kernel backends
+/// The batch entry points are backed by two interchangeable kernel backends
 /// (`internal::KernelBackend`) selected at runtime by CPU feature detection
 /// (`util/simd.h`): an AVX2 backend evaluates 4 chains per 64-bit lane
-/// group, an AVX-512 backend 8, and the portable scalar backend is both the
-/// fallback and the equivalence oracle. The vector backends additionally
-/// switch to cheaper narrow lane math once a per-step value bound
+/// group, and the portable scalar backend is both the fallback and the
+/// equivalence oracle. The AVX2 backend additionally switches to cheaper
+/// narrow lane math once a per-step value bound
 /// (`internal::AdvanceValueBound`) proves every chain value fits in 32
-/// bits. All backends are bit-identical (`tests/simd_kernel_test.cc`);
+/// bits. The backends are bit-identical (`tests/simd_kernel_test.cc`);
 /// `SCADDAR_FORCE_SCALAR_KERNELS=1` pins the scalar backend for testing.
-/// Empty spans are no-ops.
+/// The single-block entry points (`FinalX`, `LocateSlot`, `LocatePhysical`)
+/// run the scalar kernel over one element. Empty spans are no-ops.
 class CompiledLog {
  public:
   /// Compiles a snapshot of `log`. O(sum of N over removal ops) time/space.

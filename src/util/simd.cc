@@ -12,11 +12,6 @@ namespace {
 
 SimdLevel ProbeCpu() {
 #if defined(__x86_64__) || defined(__i386__)
-  // DQ is required for the native 64-bit mullo (vpmullq) the kernels use.
-  if (__builtin_cpu_supports("avx512f") &&
-      __builtin_cpu_supports("avx512dq")) {
-    return SimdLevel::kAvx512;
-  }
   if (__builtin_cpu_supports("avx2")) {
     return SimdLevel::kAvx2;
   }
@@ -44,8 +39,6 @@ std::string_view SimdLevelName(SimdLevel level) {
       return "scalar";
     case SimdLevel::kAvx2:
       return "avx2";
-    case SimdLevel::kAvx512:
-      return "avx512";
   }
   return "unknown";
 }

@@ -5,16 +5,16 @@
 
 namespace scaddar {
 
-/// The vector instruction tiers the kernels dispatch over. Ordered: a level
-/// implies every level below it, so "is AVX2 usable" is `level >= kAvx2`.
+/// The instruction tiers the kernels dispatch over: the portable scalar
+/// kernels, and AVX2 as the one vector tier. Ordered, so "is AVX2 usable"
+/// is `level >= kAvx2`; a CPU with wider vectors reports `kAvx2`.
 enum class SimdLevel {
   kScalar = 0,  // Portable baseline, always available.
   kAvx2 = 1,    // 4x64-bit integer lanes (x86-64 with AVX2).
-  kAvx512 = 2,  // 8x64-bit lanes + native 64-bit mullo (AVX-512F + DQ).
 };
 
 /// Stable lower-case name for logs, bench labels and JSON ("scalar",
-/// "avx2", "avx512").
+/// "avx2").
 std::string_view SimdLevelName(SimdLevel level);
 
 /// The best level this CPU supports, probed once (cpuid on x86). Reports

@@ -30,10 +30,6 @@ std::vector<SimdLevel> UsableVectorLevels() {
       internal::Avx2Backend() != nullptr) {
     levels.push_back(SimdLevel::kAvx2);
   }
-  if (DetectedSimdLevel() >= SimdLevel::kAvx512 &&
-      internal::Avx512Backend() != nullptr) {
-    levels.push_back(SimdLevel::kAvx512);
-  }
   return levels;
 }
 
@@ -213,7 +209,6 @@ TEST(SimdKernelDifferentialTest, MaterializeOnceByteIdenticalAcrossBackends) {
 TEST(SimdDispatchTest, LevelNamesAreStable) {
   EXPECT_EQ(SimdLevelName(SimdLevel::kScalar), "scalar");
   EXPECT_EQ(SimdLevelName(SimdLevel::kAvx2), "avx2");
-  EXPECT_EQ(SimdLevelName(SimdLevel::kAvx512), "avx512");
 }
 
 TEST(SimdDispatchTest, PinOverridesAndResetRestores) {
@@ -232,11 +227,8 @@ TEST(SimdDispatchTest, PinOverridesAndResetRestores) {
 
 TEST(SimdDispatchTest, ActiveBackendMatchesActiveLevel) {
   const internal::KernelBackend& backend = internal::ActiveBackend();
-  if (ActiveSimdLevel() >= SimdLevel::kAvx512 &&
-      internal::Avx512Backend() != nullptr) {
-    EXPECT_STREQ(backend.name, "avx512");
-  } else if (ActiveSimdLevel() >= SimdLevel::kAvx2 &&
-             internal::Avx2Backend() != nullptr) {
+  if (ActiveSimdLevel() >= SimdLevel::kAvx2 &&
+      internal::Avx2Backend() != nullptr) {
     EXPECT_STREQ(backend.name, "avx2");
   } else {
     EXPECT_STREQ(backend.name, "scalar");
