@@ -60,17 +60,6 @@ void PlacementPolicy::LocateAllBlocks(ObjectId object,
   }
 }
 
-void PlacementPolicy::LocateRange(ObjectId object, BlockIndex begin,
-                                  BlockIndex end,
-                                  std::span<PhysicalDiskId> out) const {
-  const auto blocks = static_cast<BlockIndex>(x0_of(object).size());
-  SCADDAR_CHECK(begin >= 0 && begin <= end && end <= blocks);
-  SCADDAR_CHECK(static_cast<BlockIndex>(out.size()) == end - begin);
-  for (BlockIndex i = begin; i < end; ++i) {
-    out[static_cast<size_t>(i - begin)] = Locate(object, i);
-  }
-}
-
 void PlacementPolicy::LocateMany(ObjectId object,
                                  std::span<const BlockIndex> blocks,
                                  std::span<PhysicalDiskId> out) const {

@@ -67,14 +67,6 @@ class PlacementPolicy {
   virtual void LocateAllBlocks(ObjectId object,
                                std::vector<PhysicalDiskId>& out) const;
 
-  /// Batch `AF()` over the contiguous row range `[begin, end)` of `object`
-  /// (`out.size()` must equal `end - begin`; bounds checked). The
-  /// serving-path cursors prefetch their sliding windows through this —
-  /// policies with batch kernels resolve the whole window against one
-  /// pinned snapshot.
-  virtual void LocateRange(ObjectId object, BlockIndex begin, BlockIndex end,
-                           std::span<PhysicalDiskId> out) const;
-
   /// Batch `AF()` over an arbitrary set of row indices of one object
   /// (sizes must match; indices bounds-checked). The migration executor
   /// resolves a round's queued blocks per object through this.

@@ -34,31 +34,14 @@ void ScaddarPolicy::LocateAllBlocks(ObjectId object,
   const ObjectEntry entry = entry_of(object);
   out.resize(entry.x0.size() * static_cast<size_t>(entry.copies));
   if (entry.copies > 1) {
-    LocateRange(object, 0, static_cast<BlockIndex>(out.size()),
-                std::span<PhysicalDiskId>(out));
+    std::vector<BlockIndex> rows(out.size());
+    std::iota(rows.begin(), rows.end(), BlockIndex{0});
+    LocateMany(object, std::span<const BlockIndex>(rows),
+               std::span<PhysicalDiskId>(out));
     return;
   }
   compiled().LocatePhysicalBatch(std::span<const uint64_t>(entry.x0),
                                  std::span<PhysicalDiskId>(out), entry.epoch);
-}
-
-void ScaddarPolicy::LocateRange(ObjectId object, BlockIndex begin,
-                                BlockIndex end,
-                                std::span<PhysicalDiskId> out) const {
-  const ObjectEntry entry = entry_of(object);
-  const auto blocks = static_cast<BlockIndex>(entry.x0.size());
-  SCADDAR_CHECK(begin >= 0 && begin <= end && end <= blocks * entry.copies);
-  SCADDAR_CHECK(static_cast<BlockIndex>(out.size()) == end - begin);
-  if (end > blocks) {  // Reaches into the copies.
-    std::vector<BlockIndex> rows(out.size());
-    std::iota(rows.begin(), rows.end(), begin);
-    LocateMany(object, std::span<const BlockIndex>(rows), out);
-    return;
-  }
-  compiled().LocatePhysicalBatch(
-      std::span<const uint64_t>(entry.x0).subspan(
-          static_cast<size_t>(begin), static_cast<size_t>(end - begin)),
-      out, entry.epoch);
 }
 
 void ScaddarPolicy::LocateMany(ObjectId object,

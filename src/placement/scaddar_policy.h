@@ -49,9 +49,6 @@ class ScaddarPolicy final : public PlacementPolicy {
   void LocateAllBlocks(ObjectId object,
                        std::vector<PhysicalDiskId>& out) const override;
 
-  void LocateRange(ObjectId object, BlockIndex begin, BlockIndex end,
-                   std::span<PhysicalDiskId> out) const override;
-
   void LocateMany(ObjectId object, std::span<const BlockIndex> blocks,
                   std::span<PhysicalDiskId> out) const override;
 

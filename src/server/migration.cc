@@ -68,12 +68,12 @@ void MigrationExecutor::EnqueueReconciliation(const BlockStore& store,
                                               const PlacementPolicy& policy) {
   std::vector<PhysicalDiskId> targets;
   for (const auto& [id, x0] : policy.objects_view()) {
-    // The row holds every copy of every block, so it sizes the pass.
+    // The row and the batch AF() both hold every copy of every block.
     const StatusOr<std::span<const PhysicalDiskId>> row = store.LocationsOf(id);
     SCADDAR_CHECK(row.ok());
+    policy.LocateAllBlocks(id, targets);
+    SCADDAR_CHECK(targets.size() == row->size());
     const auto blocks = static_cast<BlockIndex>(row->size());
-    targets.resize(static_cast<size_t>(blocks));
-    policy.LocateRange(id, 0, blocks, std::span<PhysicalDiskId>(targets));
     for (BlockIndex i = 0; i < blocks; ++i) {
       if ((*row)[static_cast<size_t>(i)] != targets[static_cast<size_t>(i)]) {
         Push(BlockRef{id, i});
