@@ -14,6 +14,9 @@ namespace {
 constexpr uint64_t kImageMagic = 0x5caddab10c4b1e55ull;
 constexpr int64_t kHeaderBytes = 16;
 constexpr std::string_view kLayoutHeader = "layout-v1";
+// Serve-read buffer arena, in blocks; registered with the backend when it
+// can pin memory, and drained early when a round fills it.
+constexpr int kServeArenaBlocks = 256;
 
 uint64_t SplitMix64(uint64_t& state) {
   state += 0x9e3779b97f4a7c15ull;
@@ -107,9 +110,6 @@ StatusOr<std::unique_ptr<BlockIoEngine>> BlockIoEngine::Create(
     return InvalidArgumentError(
         "block_bytes must be a positive multiple of 4096");
   }
-  if (options.arena_blocks < 1) {
-    return InvalidArgumentError("arena_blocks must be >= 1");
-  }
   std::unique_ptr<BlockIoEngine> engine(new BlockIoEngine(options));
   SCADDAR_RETURN_IF_ERROR(engine->Init());
   return engine;
@@ -119,18 +119,16 @@ Status BlockIoEngine::Init() {
   BackendOptions backend_options;
   backend_options.block_bytes = options_.block_bytes;
   backend_options.queue_depth = options_.queue_depth;
-  backend_options.sync_workers = options_.sync_workers;
   SCADDAR_ASSIGN_OR_RETURN(
       backend_, MakeStorageBackend(options_.spec, backend_options));
   arena_.reset(static_cast<std::byte*>(std::aligned_alloc(
-      4096, static_cast<size_t>(options_.arena_blocks *
-                                options_.block_bytes))));
+      4096, static_cast<size_t>(kServeArenaBlocks * options_.block_bytes))));
   scratch_.reset(static_cast<std::byte*>(
       std::aligned_alloc(4096, static_cast<size_t>(options_.block_bytes))));
   if (arena_ == nullptr || scratch_ == nullptr) {
     return ResourceExhaustedError("aligned buffer allocation failed");
   }
-  return backend_->RegisterBufferArena(arena_.get(), options_.arena_blocks);
+  return backend_->RegisterBufferArena(arena_.get(), kServeArenaBlocks);
 }
 
 BlockIoEngine::AlignedPtr BlockIoEngine::AllocBlock() const {
@@ -394,8 +392,7 @@ StatusOr<bool> BlockIoEngine::ValidateStagedImage(BlockRef ref) {
 Status BlockIoEngine::EnqueueServeRead(BlockRef ref, PhysicalDiskId disk) {
   SCADDAR_ASSIGN_OR_RETURN(const SlotLoc loc, AuthoritativeLoc(ref));
   SCADDAR_DCHECK(loc.disk == disk);
-  if (serve_in_flight_ ==
-      static_cast<size_t>(options_.arena_blocks)) {
+  if (serve_in_flight_ == static_cast<size_t>(kServeArenaBlocks)) {
     SCADDAR_RETURN_IF_ERROR(DrainAndDispatch());
     serve_in_flight_ = 0;
   }

@@ -54,9 +54,6 @@ class BlockIoEngine {
     std::string spec = "mem";    // MakeStorageBackend spec string.
     int64_t block_bytes = 4096;
     int queue_depth = 32;
-    int sync_workers = 0;        // Sync backend worker threads (0 = auto).
-    int arena_blocks = 256;      // Serve-read buffer arena (registered with
-                                 // the backend when it can pin memory).
     uint64_t content_seed = 0x5cadda;
   };
 
@@ -193,7 +190,7 @@ class BlockIoEngine {
 
   Options options_;
   std::unique_ptr<StorageBackend> backend_;
-  AlignedPtr arena_;    // arena_blocks_ * block_bytes, registered.
+  AlignedPtr arena_;    // kServeArenaBlocks * block_bytes, registered.
   AlignedPtr scratch_;  // One block, for the synchronous reads.
 
   std::unordered_map<ObjectId, std::vector<SlotLoc>> objects_;

@@ -16,13 +16,10 @@ namespace {
 /// Largest O_DIRECT-legal length <= `len` (sector granularity).
 int64_t AlignDownToSector(int64_t len) { return len & ~int64_t{4095}; }
 
-int SyncWorkerCount(const BackendOptions& options) {
-  int workers = options.sync_workers;
-  if (workers <= 0) {
-    workers = static_cast<int>(std::thread::hardware_concurrency());
-    workers = std::clamp(workers, 1, 8);
-  }
-  return workers;
+/// One per-disk executor worker per hardware thread, capped at 8.
+int SyncWorkerCount() {
+  return std::clamp(static_cast<int>(std::thread::hardware_concurrency()), 1,
+                    8);
 }
 
 }  // namespace
@@ -31,7 +28,7 @@ SyncFileBackend::SyncFileBackend(std::string directory,
                                  const BackendOptions& options)
     : StorageBackend(options),
       directory_(std::move(directory)),
-      pool_(std::make_unique<ThreadPool>(SyncWorkerCount(options))) {
+      pool_(std::make_unique<ThreadPool>(SyncWorkerCount())) {
   MakeDirectories(directory_);
 }
 

@@ -65,10 +65,6 @@ struct BackendOptions {
   /// to its worker once it holds this many ops, and the in-memory backend
   /// (which executes at enqueue) ignores it. Clamped to >= 1.
   int queue_depth = 32;
-
-  /// Worker threads for the sync backend's per-disk executors (ignored by
-  /// the other backends). 0 = one per hardware core, capped at 8.
-  int sync_workers = 0;
 };
 
 /// Where the bytes of every block image live. The placement layers above
