@@ -219,8 +219,12 @@ LookupResult MeasureLookup(int64_t span_blocks, int64_t passes,
 }
 
 void WriteLookupJson() {
+  // The "simd" path pins the detected level; the label names the backend
+  // that runs under that pin (scalar where this binary lacks AVX2's).
   const SimdLevel simd_level = DetectedSimdLevel();
-  const std::string level_name(SimdLevelName(simd_level));
+  SetActiveSimdLevel(simd_level);
+  const std::string level_name = internal::ActiveBackend().name;
+  ResetActiveSimdLevel();
   constexpr int64_t kSpan = 4096;
   constexpr int64_t kPasses = 256;
   auto seq = X0Sequence::Create(PrngKind::kSplitMix64, 5, 64).value();
@@ -263,7 +267,7 @@ void WriteLookupJson() {
                 static_cast<long long>(ops), "per-call",
                 per_call.BlocksPerSecond(), "");
     json.BeginTier(ops);
-    json.TierLabel("simd_level", SimdLevelName(simd_level));
+    json.TierLabel("simd_level", level_name);
     json.TierMetric("speedup_simd_vs_scalar", speedup);
     const auto path = [&](const char* name, const LookupResult& result) {
       json.Path(name,

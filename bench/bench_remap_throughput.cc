@@ -168,10 +168,13 @@ KernelResult MeasureKernel(const CompiledLog& compiled,
 }
 
 void WriteRemapJson() {
-  // On non-AVX2 hosts the "simd" path dispatches to the scalar backend
-  // (speedup ~1.0); the tier records which level actually ran.
+  // The "simd" path pins the detected level. On non-AVX2 hosts, or in a
+  // binary built without the AVX2 backend, that pin dispatches to the
+  // scalar backend (speedup ~1.0); the tier records the backend that ran.
   const SimdLevel simd_level = DetectedSimdLevel();
-  const std::string level_name(SimdLevelName(simd_level));
+  SetActiveSimdLevel(simd_level);
+  const std::string level_name = internal::ActiveBackend().name;
+  ResetActiveSimdLevel();
   constexpr int64_t kBlocks = 1'000'000;
   auto seq = X0Sequence::Create(PrngKind::kSplitMix64, 4, 64).value();
   const std::vector<uint64_t> x0 = seq.Materialize(kBlocks);
@@ -205,7 +208,7 @@ void WriteRemapJson() {
                 scalar.BlocksPerSecond(), scalar.seconds, speedup);
     json.BeginTier(tier.ops);
     json.TierLabel("history", tier.history);
-    json.TierLabel("simd_level", SimdLevelName(simd_level));
+    json.TierLabel("simd_level", level_name);
     json.TierMetric("speedup_simd_vs_scalar", speedup);
     json.Path("simd", {{"blocks", static_cast<double>(simd.blocks), 0},
                        {"seconds", simd.seconds, 6},
