@@ -111,11 +111,6 @@ double ProcessCpuSeconds() {
          static_cast<double>(ts.tv_nsec) * 1e-9;
 }
 
-double Median(std::vector<double> values) {
-  std::sort(values.begin(), values.end());
-  return values[values.size() / 2];
-}
-
 /// One timed pass: a cluster of `row.shards` serving a steady population
 /// sized to its capacity, every round on the wall clock.
 PathResult MeasureOnce(const Row& row, Path path, const Sizes& sizes) {
@@ -178,7 +173,7 @@ PathResult MeasureOnce(const Row& row, Path path, const Sizes& sizes) {
   return PathResult{
       .requests_per_second =
           seconds > 0 ? static_cast<double>(requests) / seconds : 0,
-      .round_p50_us = Median(std::move(round_us)),
+      .round_p50_us = bench::Median(std::move(round_us)),
       .cpu_us_per_round = cpu_seconds * 1e6 / rounds,
       .pooled_share = static_cast<double>(pooled_rounds) / rounds};
 }
@@ -213,7 +208,7 @@ std::vector<ScalingResult> MeasureScaling(const std::vector<Row>& rows,
         for (const PathResult& rep : reps) {
           values.push_back(rep.*field);
         }
-        return Median(std::move(values));
+        return bench::Median(std::move(values));
       };
       results[t].paths[path] = PathResult{
           .requests_per_second = median_of(&PathResult::requests_per_second),

@@ -13,9 +13,11 @@
 
 // Usage: bench_lookup [--json-only] [google-benchmark flags]
 // After the google-benchmark suite, the binary measures the 4096-block
-// batch lookup with the SIMD backend pinned on vs. off (plus the per-call
-// loop) and writes BENCH_lookup.json (schema shared with
-// BENCH_serving.json; see bench_util.h). --json-only skips the suite.
+// batch lookup with the SIMD backend pinned on vs. off, in alternating
+// passes, and the per-call loop, and writes BENCH_lookup.json (schema
+// shared with BENCH_serving.json; see bench_util.h): each path's median
+// pass and the median of the per-pass speedups. --json-only skips the
+// suite.
 
 #include <benchmark/benchmark.h>
 
@@ -198,24 +200,22 @@ struct LookupResult {
   }
 };
 
-/// Best-of-5 of `passes` runs of `work()` over a span of `span_blocks`
-/// blocks (one warmup pass first).
-template <typename WorkFn>
-LookupResult MeasureLookup(int64_t span_blocks, int64_t passes,
-                           WorkFn&& work) {
-  const auto one_rep = [&] {
-    LookupResult result;
-    result.blocks = span_blocks * passes;
-    result.seconds = bench::TimeSeconds([&] {
-      for (int64_t p = 0; p < passes; ++p) {
+/// Timed passes per path of one `MeasureLookup`.
+constexpr int64_t kLookupPasses = 11;
+
+/// `first()` against `second()`, each pass `spans` runs of the path, in
+/// alternating passes (one warm-up pass of each first).
+template <typename FirstFn, typename SecondFn>
+bench::AlternatingTiming MeasureLookup(int64_t spans, FirstFn&& first,
+                                       SecondFn&& second) {
+  const auto repeat = [spans](auto& work) {
+    return [&work, spans] {
+      for (int64_t p = 0; p < spans; ++p) {
         work();
       }
-    });
-    return result;
+    };
   };
-  work();
-  return bench::BestOf(5, one_rep,
-                       [](const LookupResult& r) { return r.seconds; });
+  return bench::TimeAlternating(kLookupPasses, repeat(first), repeat(second));
 }
 
 void WriteLookupJson() {
@@ -226,7 +226,7 @@ void WriteLookupJson() {
   const std::string level_name = internal::ActiveBackend().name;
   ResetActiveSimdLevel();
   constexpr int64_t kSpan = 4096;
-  constexpr int64_t kPasses = 256;
+  constexpr int64_t kSpansPerPass = 256;
   auto seq = X0Sequence::Create(PrngKind::kSplitMix64, 5, 64).value();
   const std::vector<uint64_t> x0 = seq.Materialize(kSpan);
   std::vector<PhysicalDiskId> out(x0.size());
@@ -244,19 +244,31 @@ void WriteLookupJson() {
                                    std::span<PhysicalDiskId>(out));
       benchmark::DoNotOptimize(out.data());
     };
-    SetActiveSimdLevel(simd_level);
-    const LookupResult simd = MeasureLookup(kSpan, kPasses, batch_pass);
-    SetActiveSimdLevel(SimdLevel::kScalar);
-    const LookupResult scalar = MeasureLookup(kSpan, kPasses, batch_pass);
-    ResetActiveSimdLevel();
-    const LookupResult per_call = MeasureLookup(kSpan, kPasses, [&] {
+    const auto batch_at = [&](SimdLevel level) {
+      return [&, level] {
+        SetActiveSimdLevel(level);
+        batch_pass();
+      };
+    };
+    const auto per_call_pass = [&] {
       for (size_t i = 0; i < x0.size(); ++i) {
         out[i] = compiled.LocatePhysical(x0[i]);
       }
       benchmark::DoNotOptimize(out.data());
-    });
-    const double speedup =
-        simd.seconds > 0 ? scalar.seconds / simd.seconds : 0;
+    };
+    const bench::AlternatingTiming batch = MeasureLookup(
+        kSpansPerPass, batch_at(simd_level), batch_at(SimdLevel::kScalar));
+    ResetActiveSimdLevel();
+    // The per-call loop runs against the simd batch, so its median comes
+    // from passes under the same load too.
+    const bench::AlternatingTiming per_call_timing =
+        MeasureLookup(kSpansPerPass, batch_at(simd_level), per_call_pass);
+    ResetActiveSimdLevel();
+    const int64_t blocks = kSpan * kSpansPerPass;
+    const LookupResult simd{blocks, batch.first_seconds};
+    const LookupResult scalar{blocks, batch.second_seconds};
+    const LookupResult per_call{blocks, per_call_timing.second_seconds};
+    const double speedup = batch.ratio;
     std::printf("%-6lld %-10s %-16.0f %-10s\n",
                 static_cast<long long>(ops), level_name.c_str(),
                 simd.BlocksPerSecond(), "");
@@ -269,6 +281,7 @@ void WriteLookupJson() {
     json.BeginTier(ops);
     json.TierLabel("simd_level", level_name);
     json.TierMetric("speedup_simd_vs_scalar", speedup);
+    json.TierMetric("passes", static_cast<double>(kLookupPasses), 0);
     const auto path = [&](const char* name, const LookupResult& result) {
       json.Path(name,
                 {{"blocks", static_cast<double>(result.blocks), 0},

@@ -12,9 +12,10 @@
 //
 // Usage: bench_remap_throughput [--json-only] [google-benchmark flags]
 // After the google-benchmark suite, the binary measures the batch kernel
-// with the SIMD backend pinned on vs. off and writes BENCH_remap.json
-// (schema shared with BENCH_serving.json; see bench_util.h). --json-only
-// skips the google-benchmark suite.
+// with the SIMD backend pinned on vs. off, in alternating passes, and
+// writes BENCH_remap.json (schema shared with BENCH_serving.json; see
+// bench_util.h): each path's median pass and the median of the per-pass
+// speedups. --json-only skips the google-benchmark suite.
 
 #include <benchmark/benchmark.h>
 
@@ -144,27 +145,28 @@ struct KernelResult {
   }
 };
 
-/// Best-of-5 single pass of LocatePhysicalBatch over `x0` with the
-/// dispatched backend pinned to `level` (one warmup pass first).
-KernelResult MeasureKernel(const CompiledLog& compiled,
-                           const std::vector<uint64_t>& x0, SimdLevel level) {
-  SetActiveSimdLevel(level);
+/// Alternating passes per path of one `MeasureKernel`.
+constexpr int64_t kKernelPasses = 11;
+
+/// One pass of LocatePhysicalBatch over `x0` with the dispatched backend
+/// pinned to `simd_level` against one pinned to scalar, in alternating
+/// passes (one warm-up pass of each first).
+bench::AlternatingTiming MeasureKernel(const CompiledLog& compiled,
+                                       const std::vector<uint64_t>& x0,
+                                       SimdLevel simd_level) {
   std::vector<PhysicalDiskId> out(x0.size());
-  const auto one_pass = [&] {
-    KernelResult result;
-    result.blocks = static_cast<int64_t>(x0.size());
-    result.seconds = bench::TimeSeconds([&] {
+  const auto pass_at = [&](SimdLevel level) {
+    return [&, level] {
+      SetActiveSimdLevel(level);
       compiled.LocatePhysicalBatch(std::span<const uint64_t>(x0),
                                    std::span<PhysicalDiskId>(out));
-    });
-    benchmark::DoNotOptimize(out.data());
-    return result;
+      benchmark::DoNotOptimize(out.data());
+    };
   };
-  one_pass();
-  const KernelResult best = bench::BestOf(
-      5, one_pass, [](const KernelResult& r) { return r.seconds; });
+  const bench::AlternatingTiming timing = bench::TimeAlternating(
+      kKernelPasses, pass_at(simd_level), pass_at(SimdLevel::kScalar));
   ResetActiveSimdLevel();
-  return best;
+  return timing;
 }
 
 void WriteRemapJson() {
@@ -194,11 +196,11 @@ void WriteRemapJson() {
                           ? LongAddHistory(tier.ops)
                           : MixedHistory(tier.ops);
     const CompiledLog compiled(log);
-    const KernelResult simd = MeasureKernel(compiled, x0, simd_level);
-    const KernelResult scalar =
-        MeasureKernel(compiled, x0, SimdLevel::kScalar);
-    const double speedup =
-        simd.seconds > 0 ? scalar.seconds / simd.seconds : 0;
+    const bench::AlternatingTiming timing =
+        MeasureKernel(compiled, x0, simd_level);
+    const KernelResult simd{kBlocks, timing.first_seconds};
+    const KernelResult scalar{kBlocks, timing.second_seconds};
+    const double speedup = timing.ratio;
     std::printf("%-6lld %-8s %-10s %-16.0f %-16.6f %-10s\n",
                 static_cast<long long>(tier.ops), tier.history,
                 level_name.c_str(), simd.BlocksPerSecond(), simd.seconds,
@@ -210,6 +212,7 @@ void WriteRemapJson() {
     json.TierLabel("history", tier.history);
     json.TierLabel("simd_level", level_name);
     json.TierMetric("speedup_simd_vs_scalar", speedup);
+    json.TierMetric("passes", static_cast<double>(kKernelPasses), 0);
     json.Path("simd", {{"blocks", static_cast<double>(simd.blocks), 0},
                        {"seconds", simd.seconds, 6},
                        {"blocks_per_second", simd.BlocksPerSecond(), 0}});

@@ -113,6 +113,54 @@ RoundTiming MeasureRounds(int64_t warmup_rounds, int64_t timed_rounds,
   return timing;
 }
 
+/// Median of `values` (the upper one of the middle two for an even count;
+/// 0 when empty).
+inline double Median(std::vector<double> values) {
+  if (values.empty()) {
+    return 0;
+  }
+  std::sort(values.begin(), values.end());
+  return values[values.size() / 2];
+}
+
+/// Two code paths timed side by side (see `TimeAlternating`).
+struct AlternatingTiming {
+  double first_seconds = 0;   // Median seconds of one `first()` pass.
+  double second_seconds = 0;  // Median seconds of one `second()` pass.
+  double ratio = 0;  // Median over passes of second / first seconds.
+};
+
+/// Times `first()` and `second()` in `passes` alternating pairs of passes
+/// (the order flips every pair) after one untimed warm-up pass of each.
+/// Both paths then see the same host load; timed seconds apart, a change
+/// in the other tenants' load between them would move their ratio.
+template <typename FirstFn, typename SecondFn>
+AlternatingTiming TimeAlternating(int64_t passes, FirstFn&& first,
+                                  SecondFn&& second) {
+  first();
+  second();
+  std::vector<double> first_s;
+  std::vector<double> second_s;
+  std::vector<double> ratios;
+  for (int64_t pass = 0; pass < passes; ++pass) {
+    double a = 0;
+    double b = 0;
+    if (pass % 2 == 0) {
+      a = TimeSeconds(first);
+      b = TimeSeconds(second);
+    } else {
+      b = TimeSeconds(second);
+      a = TimeSeconds(first);
+    }
+    first_s.push_back(a);
+    second_s.push_back(b);
+    ratios.push_back(a > 0 ? b / a : 0);
+  }
+  return AlternatingTiming{Median(std::move(first_s)),
+                           Median(std::move(second_s)),
+                           Median(std::move(ratios))};
+}
+
 /// Best-of-R: repeats `measure()` and keeps the result with the smallest
 /// `seconds(result)`. Rounds are microseconds long, so a single repetition
 /// is at the mercy of scheduler jitter; the minimum is the least-disturbed

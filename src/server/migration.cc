@@ -31,7 +31,6 @@ void MigrationExecutor::Push(BlockRef ref) {
 void MigrationExecutor::Retire(int32_t slot) {
   entries_[static_cast<size_t>(slot)].bucket = kRetired;
   --live_;
-  ++dead_;
 }
 
 std::vector<BlockRef> MigrationExecutor::QueueSnapshot() const {
@@ -48,9 +47,9 @@ std::vector<BlockRef> MigrationExecutor::QueueSnapshot() const {
 void MigrationExecutor::ClearQueue() {
   entries_.clear();
   buckets_.clear();
+  active_.clear();
   in_place_.clear();
   live_ = 0;
-  dead_ = 0;
 }
 
 void MigrationExecutor::Reset() {
@@ -91,28 +90,55 @@ bool MigrationExecutor::Stale(const BlockStore& store,
 void MigrationExecutor::Resolve(const BlockStore& store,
                                 const PlacementPolicy& policy,
                                 const DiskArray& disks, bool compact) {
-  if (compact && dead_ > 0) {
+  if (compact && entries_.size() > static_cast<size_t>(live_)) {
     std::erase_if(entries_,
                   [](const Entry& entry) { return entry.bucket == kRetired; });
-    dead_ = 0;
   }
   // Group the live entries by block, copies in queue order. Retired entries
   // keep a slot until the next compaction but leave every ring.
+  struct Key {
+    BlockRef ref;
+    int32_t slot;
+  };
   const auto num_slots = static_cast<int32_t>(entries_.size());
-  std::vector<int32_t> order;
+  std::vector<Key> order;
   order.reserve(static_cast<size_t>(live_));
   for (int32_t slot = 0; slot < num_slots; ++slot) {
     Entry& entry = entries_[static_cast<size_t>(slot)];
     entry.next_copy = slot;
     if (entry.bucket != kRetired) {
-      order.push_back(slot);
+      order.push_back(Key{entry.ref, slot});
     }
   }
-  std::sort(order.begin(), order.end(), [this](int32_t a, int32_t b) {
-    const BlockRef& x = entries_[static_cast<size_t>(a)].ref;
-    const BlockRef& y = entries_[static_cast<size_t>(b)].ref;
-    return std::tie(x.object, x.block, a) < std::tie(y.object, y.block, b);
-  });
+  // Pushes come in runs already in (object, block) order, one per
+  // reconciliation scan or plan, so merge the runs pairwise instead of
+  // sorting. The merge is stable: copies of a block stay in queue order.
+  const auto by_block = [](const Key& x, const Key& y) {
+    return std::tie(x.ref.object, x.ref.block) <
+           std::tie(y.ref.object, y.ref.block);
+  };
+  std::vector<size_t> runs = {0};  // Run bounds.
+  for (size_t k = 1; k < order.size(); ++k) {
+    if (by_block(order[k], order[k - 1])) {
+      runs.push_back(k);
+    }
+  }
+  runs.push_back(order.size());
+  const auto at = [&order](size_t k) {
+    return order.begin() + static_cast<ptrdiff_t>(k);
+  };
+  while (runs.size() > 2) {
+    size_t merged = 0;
+    for (size_t r = 0; r < runs.size() - 1; r += 2) {
+      if (r + 2 < runs.size()) {
+        std::inplace_merge(at(runs[r]), at(runs[r + 1]), at(runs[r + 2]),
+                           by_block);
+      }
+      runs[merged++] = runs[r];
+    }
+    runs[merged++] = order.size();
+    runs.resize(merged);
+  }
 
   // One batch AF() pass per object over its distinct in-range blocks; the
   // source is the live store row.
@@ -123,8 +149,8 @@ void MigrationExecutor::Resolve(const BlockStore& store,
   const bool any_failed = !disks.failed_ids().empty();
   std::vector<BlockIndex> blocks;
   std::vector<PhysicalDiskId> targets;
-  const auto ref_at = [this, &order](size_t k) -> const BlockRef& {
-    return entries_[static_cast<size_t>(order[k])].ref;
+  const auto ref_at = [&order](size_t k) -> const BlockRef& {
+    return order[k].ref;
   };
   for (size_t i = 0; i < order.size();) {
     const ObjectId object = ref_at(i).object;
@@ -194,21 +220,27 @@ void MigrationExecutor::Resolve(const BlockStore& store,
         }
       }
       for (size_t c = k; c < end; ++c) {
-        Entry& entry = entries_[static_cast<size_t>(order[c])];
+        Entry& entry = entries_[static_cast<size_t>(order[c].slot)];
         entry.bucket = bucket;
-        entry.next_copy = order[c + 1 < end ? c + 1 : k];
+        entry.next_copy = order[c + 1 < end ? c + 1 : k].slot;
       }
       k = end;
     }
     i = j;
   }
 
-  // Lay the buckets out in queue order.
+  // Lay the buckets out in queue order; the active list comes out ordered
+  // by each bucket's first slot.
   in_place_.clear();
+  active_.clear();
   for (int32_t slot = 0; slot < num_slots; ++slot) {
     const int32_t bucket = entries_[static_cast<size_t>(slot)].bucket;
     if (bucket >= 0) {
-      buckets_[static_cast<size_t>(bucket)].slots.push_back(slot);
+      std::vector<int32_t>& slots = buckets_[static_cast<size_t>(bucket)].slots;
+      if (slots.empty()) {
+        active_.emplace_back(slot, bucket);
+      }
+      slots.push_back(slot);
     } else if (bucket == kInPlace) {
       in_place_.push_back(slot);
     }
@@ -270,7 +302,7 @@ int64_t MigrationExecutor::RunRound(std::span<int64_t> budget,
   if (live_ == 0) {
     return 0;
   }
-  if (Stale(store, policy) || dead_ > live_) {
+  if (Stale(store, policy)) {
     Resolve(store, policy, disks, /*compact=*/true);
   }
   FaultInjector* const injector = disks.fault_injector();
@@ -287,37 +319,62 @@ int64_t MigrationExecutor::RunRound(std::span<int64_t> budget,
     budget[static_cast<size_t>(disk)] -= units;
   };
 
-  // The round's pass walks the queue in order through a min-heap of bucket
-  // heads, one per bucket whose two disks both have budget. Budgets only
-  // fall during a pass, so a bucket found dry drops out for the round and
-  // its entries keep their queue positions without being visited.
-  using Head = std::pair<int32_t, int32_t>;  // (slot, bucket)
-  std::vector<Head> heads;
-  const auto push_head = [&](int32_t b) {
+  // The round's pass walks the queue in order, merging two sources of
+  // bucket heads: the active list, already in queue order, and a min-heap
+  // of the buckets the pass re-enters. A bucket whose two disks do not
+  // both have budget drops out for the round when the pass reaches it
+  // (budgets only fall during a pass), and its entries keep their queue
+  // positions without being visited.
+  size_t next_listed = 0;  // active_[next_listed] is the next listed head.
+  std::vector<Head> reentered;
+  const auto can_serve = [&](int32_t b) {
     const Bucket& bucket = buckets_[static_cast<size_t>(b)];
-    if (!has_budget(bucket.via) || !has_budget(bucket.target)) {
-      return;
+    return has_budget(bucket.via) && has_budget(bucket.target);
+  };
+  // Queue position of bucket `b`'s next entry this round, or kNoSlot.
+  const auto due = [&](int32_t b) {
+    if (!can_serve(b)) {
+      return kNoSlot;
     }
     const int32_t slot = PeekBucket(b);
-    if (slot < end) {
-      heads.emplace_back(slot, b);
-      std::push_heap(heads.begin(), heads.end(), std::greater<>());
+    return slot < end ? slot : kNoSlot;
+  };
+  const auto reenter = [&](int32_t b) {
+    const int32_t slot = due(b);
+    if (slot != kNoSlot) {
+      reentered.emplace_back(slot, b);
+      std::push_heap(reentered.begin(), reentered.end(), std::greater<>());
     }
   };
-  // (Re)starts the pass just after queue position `after`.
-  const auto seed = [&](int32_t after) {
-    heads.clear();
-    for (int32_t b = 0; b < static_cast<int32_t>(buckets_.size()); ++b) {
-      Bucket& bucket = buckets_[static_cast<size_t>(b)];
+  // The next head in queue order; false once the pass is through.
+  const auto pop = [&](Head& head) {
+    const bool listed = next_listed < active_.size();
+    if (!reentered.empty() &&
+        (!listed || reentered.front() < active_[next_listed])) {
+      std::pop_heap(reentered.begin(), reentered.end(), std::greater<>());
+      head = reentered.back();
+      reentered.pop_back();
+      return true;
+    }
+    if (!listed) {
+      return false;
+    }
+    head = active_[next_listed++];
+    return true;
+  };
+  // Restarts the pass just after queue position `after` over the buckets a
+  // mid-round re-resolve built; the heap carries all of them.
+  const auto reseed = [&](int32_t after) {
+    next_listed = active_.size();
+    reentered.clear();
+    for (const Head& lane : active_) {
+      Bucket& bucket = buckets_[static_cast<size_t>(lane.second)];
       bucket.next = static_cast<size_t>(
-          std::upper_bound(bucket.slots.begin() +
-                               static_cast<ptrdiff_t>(bucket.head),
-                           bucket.slots.end(), after) -
+          std::upper_bound(bucket.slots.begin(), bucket.slots.end(), after) -
           bucket.slots.begin());
-      push_head(b);
+      reenter(lane.second);
     }
   };
-  seed(-1);
 
   // An injected crash abandons the round: only durably-written state (the
   // journal and the store) survives; queued work is rebuilt by the
@@ -351,21 +408,18 @@ int64_t MigrationExecutor::RunRound(std::span<int64_t> budget,
   bool resolved_mid_round = false;
 
   int64_t moved = 0;
-  while (!heads.empty()) {
-    std::pop_heap(heads.begin(), heads.end(), std::greater<>());
-    const auto [slot, popped] = heads.back();
-    heads.pop_back();
-    int32_t b = popped;
-    if (entries_[static_cast<size_t>(slot)].bucket != b) {
-      push_head(b);  // Left the bucket after it was peeked.
-      continue;
-    }
-    if (!has_budget(buckets_[static_cast<size_t>(b)].via) ||
-        !has_budget(buckets_[static_cast<size_t>(b)].target)) {
+  for (Head head; pop(head);) {
+    const int32_t slot = head.first;
+    int32_t b = head.second;
+    if (!can_serve(b)) {
       continue;  // Dry: the rest of the bucket waits for a later round.
     }
+    if (entries_[static_cast<size_t>(slot)].bucket != b) {
+      reenter(b);  // Left the bucket after it was listed.
+      continue;
+    }
     ++buckets_[static_cast<size_t>(b)].next;
-    push_head(b);
+    reenter(b);
 
     const BlockRef ref = entries_[static_cast<size_t>(slot)].ref;
     PhysicalDiskId current = buckets_[static_cast<size_t>(b)].source;
@@ -379,7 +433,7 @@ int64_t MigrationExecutor::RunRound(std::span<int64_t> budget,
       if (Stale(store, policy)) {
         Resolve(store, policy, disks, /*compact=*/false);
         resolved_mid_round = true;
-        seed(slot);
+        reseed(slot);
         RetireInPlace(slot, end);
         b = entries_[static_cast<size_t>(slot)].bucket;
         if (b == kInPlace) {
@@ -531,9 +585,18 @@ int64_t MigrationExecutor::RunRound(std::span<int64_t> budget,
 
   // Drop what the pass consumed from each bucket; the entries it left in
   // place (failed transfers, refused stages) keep their queue order ahead
-  // of the unvisited rest.
-  for (int32_t b = 0; b < static_cast<int32_t>(buckets_.size()); ++b) {
-    Bucket& bucket = buckets_[static_cast<size_t>(b)];
+  // of the unvisited rest. A bucket with nothing left leaves the active
+  // list; one the pass moved through is listed again at its new first
+  // slot, merged back in queue order.
+  std::vector<Head> moved_on;
+  size_t kept = 0;
+  for (const Head& lane : active_) {
+    Bucket& bucket = buckets_[static_cast<size_t>(lane.second)];
+    if (bucket.next == bucket.head) {
+      active_[kept++] = lane;
+      continue;
+    }
+    const int32_t b = lane.second;
     size_t keep = bucket.next;
     for (size_t i = bucket.next; i-- > bucket.head;) {
       if (entries_[static_cast<size_t>(bucket.slots[i])].bucket == b) {
@@ -541,13 +604,24 @@ int64_t MigrationExecutor::RunRound(std::span<int64_t> budget,
       }
     }
     bucket.head = keep;
+    if (bucket.head == bucket.slots.size()) {
+      continue;
+    }
     if (2 * bucket.head > bucket.slots.size()) {
       bucket.slots.erase(bucket.slots.begin(),
                          bucket.slots.begin() +
                              static_cast<ptrdiff_t>(bucket.head));
       bucket.head = 0;
     }
+    bucket.next = bucket.head;
+    moved_on.emplace_back(bucket.slots[bucket.head], b);
   }
+  std::sort(moved_on.begin(), moved_on.end());
+  active_.resize(kept);
+  active_.insert(active_.end(), moved_on.begin(), moved_on.end());
+  std::inplace_merge(active_.begin(),
+                     active_.begin() + static_cast<ptrdiff_t>(kept),
+                     active_.end());
   if (resolved_mid_round) {
     // Staged moves retired before the re-resolve lost their copy rings;
     // resolve afresh before the next pass trusts any bucket.

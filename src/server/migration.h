@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "core/redistribution.h"
@@ -33,14 +34,20 @@ class MoveJournal;
 /// so a round merges, in queue order, only the buckets whose two disks
 /// both still have budget; entries that retire for free (block already on
 /// its target, object or block gone) leave when the round starts. A round
-/// therefore costs what it moves, not what is queued (RO1 caps the moves
-/// at `z_j`; the backlog can be far larger). Resolution is redone only
-/// when entries are pushed, when the placement changes
-/// (`PlacementPolicy::placement_key`), when store rows change through
-/// anything but the executor's own moves (`BlockStore::mutation_revision`:
-/// `PlaceObject`/`DropObject`, journal recovery, checkpoint restore), or
-/// when retired entries outnumber queued ones and the slots compact. A
-/// block queued more than once (overlapping reconciliations) keeps its
+/// costs one look at each bucket that still holds entries plus the moves
+/// it makes, not what is queued (RO1 caps the moves at `z_j`; the backlog
+/// can be far larger). The buckets with entries left form a list kept in
+/// queue order across rounds: a round walks the list, merging it with a
+/// min-heap of only the buckets it re-enters, then merges the buckets it
+/// moved through back in at their new first entries. A bucket whose
+/// entries are all spent leaves the list. Resolution is redone, and
+/// the retired slots compacted, only when the queue is stale: entries were
+/// pushed, the placement changed (`PlacementPolicy::placement_key`), or
+/// store rows changed through anything but the executor's own moves
+/// (`BlockStore::mutation_revision`: `PlaceObject`/`DropObject`, journal
+/// recovery, checkpoint restore). A resolve merges the queue's runs of
+/// pushes, each already in block order, instead of sorting it. A block
+/// queued more than once (overlapping reconciliations) keeps its
 /// copies linked, so moving one copy retires the others exactly when the
 /// per-entry pass the index replaced would have
 /// (`tests/migration_oracle.h`).
@@ -125,6 +132,9 @@ class MigrationExecutor {
   static constexpr int32_t kInPlace = -2;     // Retires for free.
   static constexpr int32_t kUnresolved = -3;  // Pushed since the last resolve.
 
+  /// (slot, bucket): a queue position in a bucket, ordered by slot.
+  using Head = std::pair<int32_t, int32_t>;
+
   /// One queue entry. Slots in `entries_` are queue positions.
   struct Entry {
     BlockRef ref;
@@ -144,15 +154,16 @@ class MigrationExecutor {
     PhysicalDiskId target = 0;
     std::vector<int32_t> slots;
     size_t head = 0;  // slots[0, head) are spent.
-    size_t next = 0;  // Round cursor into slots.
+    size_t next = 0;  // Round cursor into slots; `head` between rounds.
   };
 
   void Push(BlockRef ref);
   void Retire(int32_t slot);
   bool Stale(const BlockStore& store, const PlacementPolicy& policy) const;
-  /// Resolves every queued entry to its bucket. A row with no healthy
-  /// copy of its block left is lost: its entries retire, and its row keeps
-  /// naming the failed disk, so reads of it hiccup.
+  /// Resolves every queued entry to its bucket, after dropping the
+  /// retired slots when `compact`. A row with no healthy copy of its block
+  /// left is lost: its entries retire, and its row keeps naming the failed
+  /// disk, so reads of it hiccup.
   void Resolve(const BlockStore& store, const PlacementPolicy& policy,
                const DiskArray& disks, bool compact);
   /// Queue position of bucket `b`'s next entry at or after its cursor
@@ -170,9 +181,12 @@ class MigrationExecutor {
 
   std::vector<Entry> entries_;
   std::vector<Bucket> buckets_;
+  /// The buckets with unspent slots, each at its first one (which may have
+  /// left the bucket since), in queue order.
+  std::vector<Head> active_;
   std::vector<int32_t> in_place_;  // kInPlace slots.
-  int64_t live_ = 0;
-  int64_t dead_ = 0;  // kRetired entries still holding a slot.
+  int64_t live_ = 0;  // Entries not kRetired; the rest hold a slot until
+                      // the next resolve compacts them.
   bool dirty_ = false;
   uint64_t placement_key_ = 0;
   int64_t store_revision_ = -1;

@@ -246,8 +246,10 @@ struct PropertySide {
 
 /// Random overlapping add, remove and rebase operations, objects removed
 /// and re-added while their moves are queued, and per-disk budgets of 0–3:
-/// after every round the indexed executor must agree with the per-entry
-/// scalar pass on everything a caller can observe.
+/// after every round the indexed executor, one-phase and with a
+/// `MoveJournal` attached (the write-ahead path), must agree with the
+/// per-entry scalar pass on everything a caller can observe, and the
+/// journal must hold no move left open.
 TEST(MigrationPropertyTest, MatchesScalarOracleUnderRandomOperations) {
   for (const uint64_t seed : {0x5ca1ull, 0x5ca2ull, 0x5ca3ull, 0x5ca4ull}) {
     std::mt19937_64 rng(seed);
@@ -255,21 +257,29 @@ TEST(MigrationPropertyTest, MatchesScalarOracleUnderRandomOperations) {
       return std::uniform_int_distribution<int64_t>(lo, hi)(rng);
     };
     PropertySide indexed(5);
+    PropertySide journaled(5);
     PropertySide scalar(5);
     MigrationExecutor executor;
+    MigrationExecutor journaled_executor;
+    MoveJournal journal;
+    journaled_executor.AttachJournal(&journal);
     ScalarMigrationOracle oracle;
     std::map<ObjectId, int64_t> objects = {{1, 600}, {2, 350}, {3, 900}};
     for (const auto& [id, blocks] : objects) {
       indexed.AddObject(id, blocks, static_cast<uint64_t>(id));
+      journaled.AddObject(id, blocks, static_cast<uint64_t>(id));
       scalar.AddObject(id, blocks, static_cast<uint64_t>(id));
     }
 
-    const auto both = [&](const auto& apply) {
+    const auto each = [&](const auto& apply) {
       apply(indexed);
+      apply(journaled);
       apply(scalar);
     };
     const auto reconcile = [&] {
       executor.EnqueueReconciliation(indexed.store, *indexed.policy);
+      journaled_executor.EnqueueReconciliation(journaled.store,
+                                               *journaled.policy);
       oracle.EnqueueReconciliation(scalar.store, *scalar.policy);
     };
     const auto run_round = [&](int round) {
@@ -279,29 +289,51 @@ TEST(MigrationPropertyTest, MatchesScalarOracleUnderRandomOperations) {
           units = draw(0, 3);
         }
       }
+      std::vector<int64_t> journaled_budget = budget;
       std::vector<int64_t> oracle_budget = budget;
       const int64_t moved = executor.RunRound(budget, indexed.store,
                                               indexed.disks, *indexed.policy);
+      const int64_t journaled_moved =
+          journaled_executor.RunRound(journaled_budget, journaled.store,
+                                      journaled.disks, *journaled.policy);
       const int64_t oracle_moved = oracle.RunRound(
           oracle_budget, scalar.store, scalar.disks, *scalar.policy);
-      ASSERT_EQ(moved, oracle_moved) << "seed " << seed << " round " << round;
-      ASSERT_EQ(executor.QueueSnapshot(), oracle.QueueSnapshot())
-          << "seed " << seed << " round " << round;
-      ASSERT_EQ(executor.pending(), oracle.pending());
-      ASSERT_EQ(budget, oracle_budget) << "seed " << seed << " round " << round;
-      for (const auto& [id, blocks] : objects) {
-        const auto row = indexed.store.LocationsOf(id);
-        const auto oracle_row = scalar.store.LocationsOf(id);
-        ASSERT_EQ(row.ok(), oracle_row.ok());
-        if (row.ok()) {
-          ASSERT_TRUE(std::equal(row->begin(), row->end(), oracle_row->begin(),
-                                 oracle_row->end()))
-              << "seed " << seed << " round " << round << " object " << id;
+      const std::vector<BlockRef> oracle_queue = oracle.QueueSnapshot();
+      const auto matches_oracle = [&](const char* name,
+                                      const MigrationExecutor& side_executor,
+                                      const PropertySide& side,
+                                      int64_t side_moved,
+                                      const std::vector<int64_t>& side_budget) {
+        SCOPED_TRACE(testing::Message() << name << " seed " << seed
+                                        << " round " << round);
+        ASSERT_EQ(side_moved, oracle_moved);
+        ASSERT_EQ(side_executor.QueueSnapshot(), oracle_queue);
+        ASSERT_EQ(side_executor.pending(), oracle.pending());
+        ASSERT_EQ(side_budget, oracle_budget);
+        for (const auto& [id, blocks] : objects) {
+          const auto row = side.store.LocationsOf(id);
+          const auto oracle_row = scalar.store.LocationsOf(id);
+          ASSERT_EQ(row.ok(), oracle_row.ok());
+          if (row.ok()) {
+            ASSERT_TRUE(std::equal(row->begin(), row->end(),
+                                   oracle_row->begin(), oracle_row->end()))
+                << "object " << id;
+          }
         }
+      };
+      matches_oracle("one-phase", executor, indexed, moved, budget);
+      if (HasFatalFailure()) {
+        return;
       }
+      matches_oracle("journaled", journaled_executor, journaled,
+                     journaled_moved, journaled_budget);
+      if (HasFatalFailure()) {
+        return;
+      }
+      ASSERT_EQ(journal.pending(), 0) << "seed " << seed << " round " << round;
       if (moved > 0) {
-        indexed.SyncDisks();  // Drained retiring disks leave the live set.
-        scalar.SyncDisks();
+        // Drained retiring disks leave the live set.
+        each([](PropertySide& side) { side.SyncDisks(); });
       }
     };
 
@@ -310,7 +342,7 @@ TEST(MigrationPropertyTest, MatchesScalarOracleUnderRandomOperations) {
       const int64_t action = draw(0, 9);
       if (action <= 2) {
         const ScalingOp op = ScalingOp::Add(draw(1, 2)).value();
-        both([&](PropertySide& side) {
+        each([&](PropertySide& side) {
           SCADDAR_CHECK(side.policy->ApplyOp(op).ok());
           side.SyncDisks();
         });
@@ -324,7 +356,7 @@ TEST(MigrationPropertyTest, MatchesScalarOracleUnderRandomOperations) {
           }
         }
         const ScalingOp op = ScalingOp::Remove(slots).value();
-        both([&](PropertySide& side) {
+        each([&](PropertySide& side) {
           SCADDAR_CHECK(side.policy->ApplyOp(op).ok());
           side.SyncDisks();
         });
@@ -332,10 +364,10 @@ TEST(MigrationPropertyTest, MatchesScalarOracleUnderRandomOperations) {
         // Rebase; a fresh op log restarts at revision 0, and a scaling op
         // right after brings it back to revisions the old log had.
         const auto generation = static_cast<uint64_t>(step + 1);
-        both([&](PropertySide& side) { side.Rebase(generation); });
+        each([&](PropertySide& side) { side.Rebase(generation); });
         if (draw(0, 1) == 1) {
           const ScalingOp op = ScalingOp::Add(1).value();
-          both([&](PropertySide& side) {
+          each([&](PropertySide& side) {
             SCADDAR_CHECK(side.policy->ApplyOp(op).ok());
             side.SyncDisks();
           });
@@ -354,7 +386,7 @@ TEST(MigrationPropertyTest, MatchesScalarOracleUnderRandomOperations) {
                                return a.object < b.object;
                              })
                 ->object;
-        both([&](PropertySide& side) {
+        each([&](PropertySide& side) {
           SCADDAR_CHECK(side.store.DropObject(victim).ok());
           SCADDAR_CHECK(side.policy->RemoveObject(victim).ok());
           side.SyncDisks();
@@ -374,7 +406,7 @@ TEST(MigrationPropertyTest, MatchesScalarOracleUnderRandomOperations) {
               draw(0, static_cast<int64_t>(disks.size()) - 1))]);
         }
         const auto x0_seed = static_cast<uint64_t>(victim * 1000 + step);
-        both([&](PropertySide& side) {
+        each([&](PropertySide& side) {
           SCADDAR_CHECK(side.policy->AddObject(victim, MakeX0(x0_seed, blocks))
                             .ok());
           SCADDAR_CHECK(side.store.PlaceObject(victim, locations).ok());
@@ -383,7 +415,7 @@ TEST(MigrationPropertyTest, MatchesScalarOracleUnderRandomOperations) {
         objects[victim] = blocks;
       } else if (action == 8 && objects.size() < 4) {
         objects[4] = 450;
-        both([&](PropertySide& side) { side.AddObject(4, 450, 4); });
+        each([&](PropertySide& side) { side.AddObject(4, 450, 4); });
       } else if (action == 9) {
         // Rows change behind the executor's back (as journal recovery
         // rolls a move forward or back): queued entries must re-resolve
@@ -402,7 +434,7 @@ TEST(MigrationPropertyTest, MatchesScalarOracleUnderRandomOperations) {
           if (from == to) {
             continue;
           }
-          both([&](PropertySide& side) {
+          each([&](PropertySide& side) {
             SCADDAR_CHECK(side.store
                               .ApplyMove(BlockMove{.block = ref,
                                                    .from_physical = from,
@@ -410,7 +442,7 @@ TEST(MigrationPropertyTest, MatchesScalarOracleUnderRandomOperations) {
                               .ok());
           });
         }
-        both([](PropertySide& side) { side.SyncDisks(); });
+        each([](PropertySide& side) { side.SyncDisks(); });
       }
       // Usually queue the divergence right away; sometimes let the rounds
       // run against a placement the queue has not caught up with.
@@ -425,7 +457,7 @@ TEST(MigrationPropertyTest, MatchesScalarOracleUnderRandomOperations) {
       }
     }
     reconcile();
-    while (!executor.idle() || !oracle.idle()) {
+    while (!executor.idle() || !journaled_executor.idle() || !oracle.idle()) {
       run_round(round++);
       if (HasFatalFailure()) {
         return;
@@ -433,7 +465,10 @@ TEST(MigrationPropertyTest, MatchesScalarOracleUnderRandomOperations) {
       ASSERT_LT(round, 100'000) << "migration failed to converge";
     }
     EXPECT_EQ(executor.total_moved(), oracle.total_moved());
+    EXPECT_EQ(journaled_executor.total_moved(), oracle.total_moved());
+    EXPECT_EQ(journal.size(), oracle.total_moved());
     EXPECT_TRUE(indexed.store.VerifyAgainstPolicy(*indexed.policy).ok());
+    EXPECT_TRUE(journaled.store.VerifyAgainstPolicy(*journaled.policy).ok());
   }
 }
 
