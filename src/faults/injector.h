@@ -84,7 +84,9 @@ struct FaultEvent {
   /// the moves the migration executor attempts — queue entries that passed
   /// the round's bandwidth gate — across rounds since construction or
   /// `ResetMoveCount`. Entries the gate turns away and entries that retire
-  /// for free are not counted.
+  /// for free are not counted. A journaled move keeps the ordinal it was
+  /// staged at through the round's commit pass, so a crash at a
+  /// commit-side phase (kCopyLogged and later) names the same move.
   /// kSnapshotCrash / kSnapshotCorrupt: the 0-based snapshot ordinal
   /// (snapshots counted across the injector's lifetime by `BeginSnapshot`).
   int64_t move = 0;
@@ -206,12 +208,13 @@ class FaultInjector {
   /// The ordinal `BeginMove` last advanced to (-1 before any move).
   int64_t current_move() const { return move_; }
 
-  /// Re-enters a move recorded earlier in the round *without* advancing the
-  /// count or firing hooks. Two-phase engine rounds stage every move first
-  /// and complete the write-ahead protocol after the batched copies land;
-  /// the commit pass resumes each staged move's ordinal so per-move crash
-  /// events at the commit-side phase boundaries (kCopyLogged and later)
-  /// still target the move they name.
+  /// Points the count at `ordinal` *without* firing hooks. A journaled
+  /// round stages every move in its pass and completes the write-ahead
+  /// protocol in a commit pass; that pass points the count back at each
+  /// staged move's ordinal for its commit-side phase boundaries
+  /// (kCopyLogged and later), then at the pass's last attempt again, so
+  /// per-move crash events target the move they name and later moves keep
+  /// counting from where the pass left off.
   void ResumeMove(int64_t ordinal) { move_ = ordinal; }
 
   const FaultSchedule& schedule() const { return schedule_; }

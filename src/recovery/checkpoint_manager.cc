@@ -363,15 +363,4 @@ Status CheckpointManager::CorruptNewestAt(int64_t location) {
   return NotFoundError("no checkpoint fragment at that location");
 }
 
-Status CheckpointManager::DropNewestSet() {
-  if (sets_.empty()) {
-    return NotFoundError("no checkpoint set to drop");
-  }
-  for (const Fragment& fragment : sets_.back().fragments) {
-    locations_[static_cast<size_t>(fragment.location)].erase(fragment.name);
-  }
-  sets_.pop_back();
-  return OkStatus();
-}
-
 }  // namespace scaddar

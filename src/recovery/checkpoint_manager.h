@@ -104,10 +104,6 @@ class CheckpointManager {
   /// media corruption; the load path must reject the fragment by checksum).
   Status CorruptNewestAt(int64_t location);
 
-  /// Deletes the newest set's fragments entirely (e.g. an operator error);
-  /// the next load falls back to the set before it.
-  Status DropNewestSet();
-
   int64_t num_locations() const {
     return static_cast<int64_t>(locations_.size());
   }

@@ -392,22 +392,16 @@ int64_t MigrationExecutor::RunRound(std::span<int64_t> budget,
     disks.GetDisk(to).value()->RecordTransientError();
     ++transient_errors_;
   };
-
-  // Two-phase (engine) rounds stage every move first and commit after the
-  // engine lands the round's copies in batched drains.
-  struct StagedMove {
-    int64_t entry = 0;
-    int32_t slot = 0;
-    BlockRef ref;
-    PhysicalDiskId from = 0;
-    PhysicalDiskId via = 0;
-    PhysicalDiskId to = 0;
-    int64_t ordinal = -1;  // Injector move ordinal at stage time.
-  };
-  std::vector<StagedMove> staged_moves;
-  bool resolved_mid_round = false;
-
   int64_t moved = 0;
+  const auto record_move = [&](PhysicalDiskId from, PhysicalDiskId to) {
+    disks.GetDisk(from).value()->RecordMigrationTransfers(1);
+    disks.GetDisk(to).value()->RecordMigrationTransfers(1);
+    ++moved;
+    ++total_moved_;
+  };
+
+  staged_.clear();
+  bool resolved_mid_round = false;
   for (Head head; pop(head);) {
     const int32_t slot = head.first;
     int32_t b = head.second;
@@ -448,6 +442,12 @@ int64_t MigrationExecutor::RunRound(std::span<int64_t> budget,
         }
       }
     }
+    if (resolved_mid_round && store.StagedTarget(ref).ok()) {
+      // The re-resolve read the rows of the blocks staged before it, which
+      // flip only in the commit pass, and rebuilt their copy rings. A copy
+      // of one waits for the next round's resolve.
+      continue;
+    }
     spend(via, 1);
     spend(target, 1);
     if (injector != nullptr && injector->FailTransfer(via, target)) {
@@ -465,23 +465,12 @@ int64_t MigrationExecutor::RunRound(std::span<int64_t> budget,
           .to_physical = target,
       });
       SCADDAR_CHECK(applied.ok());
-    } else if (io_ != nullptr) {
-      // Locations flip only after this pass, so a copy of a block staged
-      // earlier this round still reads the old location. Give its
-      // bandwidth back; it retires if the stage already goes where it
-      // wants, and otherwise waits for the next round.
-      const StatusOr<PhysicalDiskId> staged_to = store.StagedTarget(ref);
-      if (staged_to.ok()) {
-        spend(via, -1);
-        spend(target, -1);
-        if (*staged_to == target) {
-          Retire(slot);
-        }
-        continue;
-      }
-      // Two-phase stage pass: log the intent and allocate the staged slot;
-      // the bytes move (and the copied/commit records follow) after the
-      // pass, once the engine has pushed the whole round's copies down.
+      record_move(via, target);
+    } else {
+      // The stage half of the write-ahead protocol: log the intent and
+      // stage the copy. Each `crash_at` is the boundary right after a
+      // durable write; dying at any of them leaves a state
+      // `MoveJournal::Recover` replays to the same final placement.
       const int64_t entry = journal_->Begin(ref, current, target);
       if (crash_at(MovePhase::kIntentLogged)) {
         return moved;
@@ -495,67 +484,44 @@ int64_t MigrationExecutor::RunRound(std::span<int64_t> budget,
         continue;
       }
       SCADDAR_CHECK(staged.ok());
-      store_revision_ = store.mutation_revision();
       if (crash_at(MovePhase::kCopyStaged)) {
         return moved;
       }
-      Retire(slot);
-      staged_moves.push_back(StagedMove{
-          entry, slot, ref, current, via, target,
+      staged_.push_back(StagedMove{
+          entry, ref, current, via, target,
           injector != nullptr ? injector->current_move() : -1});
-      continue;  // Transfers are recorded when the copy lands.
-    } else {
-      // The write-ahead protocol. Each `crash_at` is the boundary right
-      // after a durable write; dying at any of them leaves a state
-      // `MoveJournal::Recover` replays to the same final placement.
-      const int64_t entry = journal_->Begin(ref, current, target);
-      if (crash_at(MovePhase::kIntentLogged)) {
-        return moved;
-      }
-      SCADDAR_CHECK(store.StageCopy(ref, target).ok());
-      if (crash_at(MovePhase::kCopyStaged)) {
-        return moved;
-      }
-      journal_->MarkCopied(entry);
-      if (crash_at(MovePhase::kCopyLogged)) {
-        return moved;
-      }
-      SCADDAR_CHECK(store.CommitStagedMove(ref, current, target).ok());
-      if (crash_at(MovePhase::kLocationFlipped)) {
-        return moved;
-      }
-      journal_->MarkCommitted(entry);
-      if (crash_at(MovePhase::kCommitLogged)) {
-        return moved;
-      }
     }
     store_revision_ = store.mutation_revision();
-    disks.GetDisk(via).value()->RecordMigrationTransfers(1);
-    disks.GetDisk(target).value()->RecordMigrationTransfers(1);
-    ++moved;
-    ++total_moved_;
     Retire(slot);
     RetireCopies(slot, end);
   }
 
-  // Two-phase commit pass: land the round's staged copies — batched source
-  // reads, then batched target writes (one drain each), one flush per
-  // touched disk — then walk the stage order. Copies the backend failed
-  // abort and go to the back of the queue; intact ones complete the
-  // write-ahead protocol, where "copied" now genuinely means durable bytes.
-  if (io_ != nullptr && !staged_moves.empty()) {
+  // The commit pass. With an engine attached, the round's staged copies
+  // land first — batched source reads, then batched target writes (one
+  // drain each), one flush per touched disk — and copies the backend
+  // failed abort and go to the back of the queue. Every other move, in
+  // stage order, is marked copied, flips its location and commits.
+  if (!staged_.empty()) {
     std::vector<BlockRef> failed;
-    SCADDAR_CHECK(io_->FinishMigrationRound(&failed).ok());
-    const auto copy_failed = [&failed](BlockRef ref) {
-      return std::find(failed.begin(), failed.end(), ref) != failed.end();
-    };
-    for (const StagedMove& m : staged_moves) {
-      if (injector != nullptr) {
-        // Crash events name moves by ordinal; point the injector back at
-        // this move for the commit-side phase boundaries.
-        injector->ResumeMove(m.ordinal);
+    if (io_ != nullptr) {
+      SCADDAR_CHECK(io_->FinishMigrationRound(&failed).ok());
+    }
+    // Crash events name moves by the ordinal they staged at: point the
+    // injector back at the move for each commit-side boundary, then at the
+    // pass's last attempt again, so later moves keep counting from there.
+    const int64_t attempted =
+        injector != nullptr ? injector->current_move() : -1;
+    const auto crash_after = [&](const StagedMove& m, MovePhase phase) {
+      if (injector == nullptr) {
+        return false;
       }
-      if (copy_failed(m.ref)) {
+      injector->ResumeMove(m.ordinal);
+      const bool crashed = crash_at(phase);
+      injector->ResumeMove(attempted);
+      return crashed;
+    };
+    for (const StagedMove& m : staged_) {
+      if (std::find(failed.begin(), failed.end(), m.ref) != failed.end()) {
         SCADDAR_CHECK(store.AbortStagedCopy(m.ref).ok());
         journal_->MarkAborted(m.entry);
         record_transient_error(m.via, m.to);
@@ -563,22 +529,18 @@ int64_t MigrationExecutor::RunRound(std::span<int64_t> budget,
         continue;
       }
       journal_->MarkCopied(m.entry);
-      if (crash_at(MovePhase::kCopyLogged)) {
+      if (crash_after(m, MovePhase::kCopyLogged)) {
         return moved;
       }
       SCADDAR_CHECK(store.CommitStagedMove(m.ref, m.from, m.to).ok());
-      if (crash_at(MovePhase::kLocationFlipped)) {
+      if (crash_after(m, MovePhase::kLocationFlipped)) {
         return moved;
       }
       journal_->MarkCommitted(m.entry);
-      if (crash_at(MovePhase::kCommitLogged)) {
+      if (crash_after(m, MovePhase::kCommitLogged)) {
         return moved;
       }
-      disks.GetDisk(m.via).value()->RecordMigrationTransfers(1);
-      disks.GetDisk(m.to).value()->RecordMigrationTransfers(1);
-      ++moved;
-      ++total_moved_;
-      RetireCopies(m.slot, /*end=*/0);  // The pass is over: next round.
+      record_move(m.via, m.to);
     }
     store_revision_ = store.mutation_revision();
   }
@@ -623,8 +585,8 @@ int64_t MigrationExecutor::RunRound(std::span<int64_t> budget,
                      active_.begin() + static_cast<ptrdiff_t>(kept),
                      active_.end());
   if (resolved_mid_round) {
-    // Staged moves retired before the re-resolve lost their copy rings;
-    // resolve afresh before the next pass trusts any bucket.
+    // The re-resolve bucketed blocks this round staged by their rows before
+    // the flip; resolve afresh before the next pass trusts any bucket.
     dirty_ = true;
   }
   if (live_ == 0) {

@@ -48,17 +48,18 @@ class MoveJournal;
 /// recovery, checkpoint restore). A resolve merges the queue's runs of
 /// pushes, each already in block order, instead of sorting it. A block
 /// queued more than once (overlapping reconciliations) keeps its
-/// copies linked, so moving one copy retires the others exactly when the
-/// per-entry pass the index replaced would have
+/// copies linked, so moving (journaled: staging) one copy retires the
+/// others exactly when the per-entry pass the index replaced would have
 /// (`tests/migration_oracle.h`).
 ///
 /// With a `MoveJournal` attached, every transfer runs the crash-consistent
-/// write-ahead protocol (intent -> stage -> copied -> flip -> commit), and
-/// the fault injector hanging off the `DiskArray` can kill the executor at
-/// any phase boundary or fail individual transfers. Without a journal the
-/// moves apply directly to the store's metadata (a real backend always
-/// journals). One `RunRound` serves all of these: one-phase,
-/// journaled, two-phase (I/O engine) and fault-injected rounds.
+/// write-ahead protocol (intent -> stage -> copied -> flip -> commit) in
+/// two passes: the round's pass logs each move's intent and stages its
+/// copy, and a commit pass then marks each staged move copied, flips its
+/// location and commits it, in stage order. The fault injector hanging off
+/// the `DiskArray` can kill the executor at any phase boundary or fail
+/// individual transfers. Without a journal the moves apply directly to the
+/// store's metadata in one pass (a real backend always journals).
 class MigrationExecutor {
  public:
   MigrationExecutor() = default;
@@ -70,14 +71,13 @@ class MigrationExecutor {
   void AttachJournal(MoveJournal* journal) { journal_ = journal; }
   MoveJournal* journal() const { return journal_; }
 
-  /// Attaches the real-I/O engine (requires a journal). Journaled rounds
-  /// then run two-phase: every move stages first, the engine lands the
-  /// whole round's copies in one read drain and one write drain
-  /// (`BlockIoEngine::FinishMigrationRound`), and only copies that landed
-  /// intact are marked copied and committed. Copies the backend failed
-  /// (injected EIO, short write) are aborted and re-queued at the tail as
-  /// transient errors — the real-I/O analogue of
-  /// `FaultInjector::FailTransfer`.
+  /// Attaches the real-I/O engine (requires a journal). Between a journaled
+  /// round's two passes the engine lands the bytes of the round's staged
+  /// copies in one read drain and one write drain
+  /// (`BlockIoEngine::FinishMigrationRound`), so "copied" means durable
+  /// bytes. Copies the backend failed (injected EIO, short write) are
+  /// aborted and re-queued at the tail as transient errors — the real-I/O
+  /// analogue of `FaultInjector::FailTransfer`.
   void AttachIoEngine(BlockIoEngine* io) { io_ = io; }
   BlockIoEngine* io_engine() const { return io_; }
 
@@ -157,6 +157,17 @@ class MigrationExecutor {
     size_t next = 0;  // Round cursor into slots; `head` between rounds.
   };
 
+  /// A journaled move the round's pass staged; the commit pass completes
+  /// it.
+  struct StagedMove {
+    int64_t entry = 0;  // Journal id.
+    BlockRef ref;
+    PhysicalDiskId from = 0;
+    PhysicalDiskId via = 0;
+    PhysicalDiskId to = 0;
+    int64_t ordinal = -1;  // Injector move ordinal at stage time.
+  };
+
   void Push(BlockRef ref);
   void Retire(int32_t slot);
   bool Stale(const BlockStore& store, const PlacementPolicy& policy) const;
@@ -169,10 +180,10 @@ class MigrationExecutor {
   /// Queue position of bucket `b`'s next entry at or after its cursor
   /// (INT32_MAX when none), skipping entries that left the bucket.
   int32_t PeekBucket(int32_t b);
-  /// Retires the other entries of a block that just moved: now for the
-  /// copies in (`slot`, `end`), which the round's pass would reach and
-  /// find in place, and at the next round's start for the rest (the pass
-  /// already went by them, or they arrived mid-round).
+  /// Retires the other entries of a block that just moved or staged: now
+  /// for the copies in (`slot`, `end`), which the round's pass would reach,
+  /// and at the next round's start for the rest (the pass already went by
+  /// them, or they arrived mid-round).
   void RetireCopies(int32_t slot, int32_t end);
   /// Retires the kInPlace entries in (`after`, `end`); keeps the others
   /// for the next round.
@@ -185,6 +196,7 @@ class MigrationExecutor {
   /// left the bucket since), in queue order.
   std::vector<Head> active_;
   std::vector<int32_t> in_place_;  // kInPlace slots.
+  std::vector<StagedMove> staged_;  // This round's, in stage order.
   int64_t live_ = 0;  // Entries not kRetired; the rest hold a slot until
                       // the next resolve compacts them.
   bool dirty_ = false;

@@ -577,6 +577,11 @@ StatusOr<JournalRecoveryStats> CmServer::SimulateCrashRestart() {
   // bytes alone.
   SCADDAR_ASSIGN_OR_RETURN(journal_,
                            MoveJournal::Deserialize(journal_.Serialize()));
+  return RecoverFromJournal(/*rescan=*/true);
+}
+
+StatusOr<JournalRecoveryStats> CmServer::RecoverFromJournal(bool rescan) {
+  // Intents discard, validated copies roll forward, orphan stages release.
   SCADDAR_ASSIGN_OR_RETURN(const JournalRecoveryStats stats,
                            journal_.Recover(store_));
   journal_.Compact();
@@ -596,7 +601,10 @@ StatusOr<JournalRecoveryStats> CmServer::SimulateCrashRestart() {
   // Re-seed the migration queue: the divergence scan re-discovers every
   // block AF() wants elsewhere, including moves whose journal intents were
   // discarded — idempotent re-execution instead of replaying stale plans.
-  migration_.EnqueueReconciliation(store_, *policy_);
+  // A draining disk always needs it.
+  if (rescan || !retiring_.empty()) {
+    migration_.EnqueueReconciliation(store_, *policy_);
+  }
   return stats;
 }
 
@@ -901,26 +909,18 @@ Status CmServer::LoadFromState(const ServerSnapshot& snapshot,
       }
     }
   }
-  // Pass 2: the standard crash protocol resolves what was *in flight* —
-  // intents discard, validated copies roll forward, orphan stages release.
+  // Pass 2: the standard crash protocol resolves what was *in flight*; a
+  // disk fully drained between capture and kill retires here, and any
+  // reorganization the kill interrupted resumes. A quiescent capture with
+  // an empty WAL skips the rescan — the rows landed exactly where AF()
+  // wants them, and rescanning every block would cost what replay costs.
+  // This is the common case that keeps checkpoint restart cheaper than
+  // replay.
   SCADDAR_ASSIGN_OR_RETURN(const JournalRecoveryStats journal_stats,
-                           journal_.Recover(store_));
-  journal_.Compact();
+                           RecoverFromJournal(/*rescan=*/!quiescent));
   if (stats != nullptr) {
     stats->journal = journal_stats;
   }
-
-  // Re-derive the retiring set from what actually holds blocks now (a disk
-  // fully drained between capture and kill retires here).
-  retiring_.clear();
-  for (const auto& [disk, count] : store_.per_disk_counts()) {
-    if (count > 0 &&
-        std::find(live.begin(), live.end(), disk) == live.end()) {
-      retiring_.push_back(disk);
-    }
-  }
-  std::sort(retiring_.begin(), retiring_.end());
-  SCADDAR_RETURN_IF_ERROR(SyncDisks());
 
   // Streams resume at their saved positions; serving counters carry over so
   // metric continuity is assertable across the restart.
@@ -963,14 +963,6 @@ Status CmServer::LoadFromState(const ServerSnapshot& snapshot,
 
   if (config_.journal_migration) {
     migration_.AttachJournal(&journal_);
-  }
-  // Any reorganization the kill interrupted resumes here: the divergence
-  // scan re-discovers every block AF() wants elsewhere. A quiescent capture
-  // with an empty WAL skips it — the rows landed exactly where AF() wants
-  // them, and rescanning every block would cost what replay costs. This is
-  // the common case that keeps checkpoint restart cheaper than replay.
-  if (!quiescent || !retiring_.empty()) {
-    migration_.EnqueueReconciliation(store_, *policy_);
   }
   return OkStatus();
 }

@@ -364,6 +364,13 @@ class CmServer {
   /// retiring disks.
   Status SyncDisks();
 
+  /// The journal-recovery step both restarts share: replays the journal
+  /// against the store, drops its committed prefix, re-derives the retiring
+  /// set (disks outside the placement live set that still hold blocks,
+  /// failed disks excluded) and re-queues every block AF() wants elsewhere
+  /// — when `rescan`, or while a disk drains.
+  StatusOr<JournalRecoveryStats> RecoverFromJournal(bool rescan);
+
   /// Rebuilds this (freshly reset) server from a decoded snapshot plus the
   /// surviving journal text (`live_journal` wins over the snapshot for
   /// moves that progressed after the capture).

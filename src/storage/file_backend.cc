@@ -216,17 +216,11 @@ Status SyncFileBackend::Flush(PhysicalDiskId disk) {
   return OkStatus();
 }
 
-Status SyncFileBackend::SubmitAll() {
+Status SyncFileBackend::DrainCompletions(std::vector<IoCompletion>& out) {
   std::unique_lock<std::mutex> lock(mu_);
   for (auto& [disk, state] : disks_) {
     DispatchLocked(disk, state);
   }
-  return OkStatus();
-}
-
-Status SyncFileBackend::DrainCompletions(std::vector<IoCompletion>& out) {
-  SCADDAR_RETURN_IF_ERROR(SubmitAll());
-  std::unique_lock<std::mutex> lock(mu_);
   idle_.wait(lock, [this] { return in_flight_batches_ == 0; });
   for (IoCompletion& completion : completed_) {
     out.push_back(std::move(completion));

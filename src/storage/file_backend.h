@@ -38,7 +38,6 @@ class SyncFileBackend : public StorageBackend {
   StatusOr<int64_t> EnqueueWrite(PhysicalDiskId disk, int64_t slot,
                                  const std::byte* buf) override;
   Status Flush(PhysicalDiskId disk) override;
-  Status SubmitAll() override;
   Status DrainCompletions(std::vector<IoCompletion>& out) override;
   bool direct_io() const override { return direct_; }
 

@@ -85,16 +85,11 @@ Status MemBackend::Flush(PhysicalDiskId disk) {
   return OkStatus();
 }
 
-Status MemBackend::SubmitAll() {
+Status MemBackend::DrainCompletions(std::vector<IoCompletion>& out) {
   if (batch_open_) {
     ++stats_.submit_batches;
     batch_open_ = false;
   }
-  return OkStatus();
-}
-
-Status MemBackend::DrainCompletions(std::vector<IoCompletion>& out) {
-  SCADDAR_RETURN_IF_ERROR(SubmitAll());
   out.insert(out.end(), completed_.begin(), completed_.end());
   completed_.clear();
   return OkStatus();

@@ -28,7 +28,6 @@ class MemBackend : public StorageBackend {
   StatusOr<int64_t> EnqueueWrite(PhysicalDiskId disk, int64_t slot,
                                  const std::byte* buf) override;
   Status Flush(PhysicalDiskId disk) override;
-  Status SubmitAll() override;
   Status DrainCompletions(std::vector<IoCompletion>& out) override;
 
  private:
@@ -37,7 +36,7 @@ class MemBackend : public StorageBackend {
   std::unordered_map<PhysicalDiskId, std::vector<std::byte>> regions_;
   std::vector<IoCompletion> completed_;
   int64_t next_token_ = 0;
-  bool batch_open_ = false;  // Ops enqueued since the last submit.
+  bool batch_open_ = false;  // Ops enqueued since the last drain.
 };
 
 }  // namespace scaddar

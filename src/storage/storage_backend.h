@@ -71,9 +71,10 @@ struct BackendOptions {
 /// think in `(object, block) -> physical disk`; this seam thinks in
 /// `(disk, slot) -> block image` and nothing else. All transfer APIs are
 /// *asynchronous and batched*: `Enqueue*` queues work and returns a token,
-/// `SubmitAll` pushes every queued op down in batches, and
-/// `DrainCompletions` waits for the in-flight set. Completion order is
-/// unspecified; tokens tie completions back to requests.
+/// and `DrainCompletions` pushes every queued op down in one batch (one
+/// submission for every disk on the io_uring backend, one worker batch per
+/// disk on the sync backend) and waits for the in-flight set. Completion
+/// order is unspecified; tokens tie completions back to requests.
 ///
 /// Buffers passed to `Enqueue*` must stay valid until the op's completion
 /// is drained. Backends may execute eagerly (the in-memory backend), on
@@ -114,11 +115,6 @@ class StorageBackend {
   /// is durable when it returns (fdatasync semantics). Callers drain
   /// completions first; flushing with ops in flight is a checked bug.
   virtual Status Flush(PhysicalDiskId disk) = 0;
-
-  /// Pushes every queued op toward the medium without waiting for
-  /// completions: one submission for every disk on the io_uring backend,
-  /// one worker batch per disk on the sync backend.
-  virtual Status SubmitAll() = 0;
 
   /// Submits anything still queued, waits for every in-flight op and
   /// appends their completions to `out`.

@@ -393,21 +393,6 @@ Status UringBackend::Flush(PhysicalDiskId disk) {
   return OkStatus();
 }
 
-Status UringBackend::SubmitAll() {
-  if (current_ == nullptr || current_->to_submit == 0) {
-    return OkStatus();
-  }
-  const int res = UringEnter(current_->ring_fd, current_->to_submit, 0, 0);
-  if (res < 0) {
-    return UnavailableError(std::string("io_uring_enter: ") +
-                            std::strerror(errno));
-  }
-  current_->in_flight += res;
-  current_->to_submit -= static_cast<unsigned>(res);
-  ++stats_.submit_batches;
-  return OkStatus();
-}
-
 Status UringBackend::DrainCompletions(std::vector<IoCompletion>& out) {
   if (current_ != nullptr) {
     SCADDAR_RETURN_IF_ERROR(SubmitAndWait(*current_));

@@ -48,7 +48,6 @@ class UringBackend : public StorageBackend {
   StatusOr<int64_t> EnqueueWrite(PhysicalDiskId disk, int64_t slot,
                                  const std::byte* buf) override;
   Status Flush(PhysicalDiskId disk) override;
-  Status SubmitAll() override;
   Status DrainCompletions(std::vector<IoCompletion>& out) override;
   Status RegisterBufferArena(std::byte* base, int64_t count) override;
   bool direct_io() const override { return direct_; }

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <string>
 #include <vector>
 
 #include "faults/injector.h"
@@ -14,6 +15,7 @@
 #include "server/migration.h"
 #include "server/scenario.h"
 #include "server/server.h"
+#include "storage/block_io.h"
 #include "storage/move_journal.h"
 
 namespace scaddar {
@@ -338,15 +340,18 @@ TEST(MoveJournalTest, StagedCopiesFailPolicyVerification) {
 // ---------------------------------------------------------------------------
 // The crash-point matrix: ~100 seeded schedules x {scale-up, scale-down,
 // failure-removal}, killed at every journal phase, restarted, and required
-// to land byte-identical to the uninterrupted twin.
+// to land byte-identical to the uninterrupted twin — on the simulated tier
+// and on real staged bytes (the in-memory backend).
 
 enum class MatrixOp { kScaleUp, kScaleDown, kFailureRemoval };
 
-std::unique_ptr<CmServer> MakeMatrixServer(uint64_t seed) {
+std::unique_ptr<CmServer> MakeMatrixServer(uint64_t seed,
+                                           const std::string& backend) {
   ServerConfig config;
   config.initial_disks = 5;
   config.master_seed = seed;
   config.journal_migration = true;
+  config.storage_backend = backend;
   auto server = std::move(CmServer::Create(config)).value();
   SCADDAR_CHECK(server->AddObject(1, 150).ok());
   SCADDAR_CHECK(server->AddObject(2, 90).ok());
@@ -397,7 +402,30 @@ void DrainWithRestarts(CmServer& server) {
   }
 }
 
-TEST(CrashMatrixTest, EveryCrashPointRecoversToIdenticalPlacement) {
+// With a real backend, every block's authoritative image reads back intact.
+void ExpectImagesIntact(CmServer& server) {
+  BlockIoEngine* const engine = server.io_engine();
+  if (engine == nullptr) {
+    return;
+  }
+  for (const ObjectId id : server.catalog().object_ids()) {
+    const int64_t blocks = server.catalog().GetObject(id).value().num_blocks;
+    for (BlockIndex block = 0; block < blocks; ++block) {
+      const BlockRef ref{id, block};
+      const StatusOr<std::vector<std::byte>> image = engine->ReadImage(ref);
+      ASSERT_TRUE(image.ok()) << image.status().ToString();
+      EXPECT_TRUE(BlockIoEngine::CheckImage(
+          ref, engine->content_seed(), image->data(),
+          static_cast<int64_t>(image->size())))
+          << "object " << id << " block " << block << " bytes corrupt";
+    }
+  }
+}
+
+class CrashMatrixTest : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(CrashMatrixTest, EveryCrashPointRecoversToIdenticalPlacement) {
+  const std::string backend = GetParam();
   constexpr uint64_t kSeeds[] = {0xc0a1, 0xc0a2, 0xc0a3, 0xc0a4,
                                  0xc0a5, 0xc0a6, 0xc0a7};
   constexpr MatrixOp kOps[] = {MatrixOp::kScaleUp, MatrixOp::kScaleDown,
@@ -406,14 +434,15 @@ TEST(CrashMatrixTest, EveryCrashPointRecoversToIdenticalPlacement) {
   for (const uint64_t seed : kSeeds) {
     for (const MatrixOp op : kOps) {
       // The uninterrupted twin defines the expected final placement.
-      auto twin = MakeMatrixServer(seed);
+      auto twin = MakeMatrixServer(seed, backend);
       ApplyMatrixOp(*twin, op);
       DrainWithRestarts(*twin);
+      ExpectImagesIntact(*twin);
       const auto expected = Placement(*twin);
       const auto expected_counts = twin->store().per_disk_counts();
 
       for (int phase = 0; phase < kNumMovePhases; ++phase) {
-        auto server = MakeMatrixServer(seed);
+        auto server = MakeMatrixServer(seed, backend);
         FaultSchedule schedule;
         schedule.Add(FaultEvent{
             .kind = FaultKind::kCrash,
@@ -435,6 +464,7 @@ TEST(CrashMatrixTest, EveryCrashPointRecoversToIdenticalPlacement) {
         EXPECT_EQ(server->store().staged_blocks(), 0);
         EXPECT_EQ(server->journal().pending(), 0);
         EXPECT_TRUE(server->VerifyIntegrity().ok());
+        ExpectImagesIntact(*server);
       }
     }
   }
@@ -442,6 +472,12 @@ TEST(CrashMatrixTest, EveryCrashPointRecoversToIdenticalPlacement) {
   // fire (the ordinal formula keeps most within the migration's length).
   EXPECT_GT(crashes_exercised, 50);
 }
+
+INSTANTIATE_TEST_SUITE_P(Backends, CrashMatrixTest,
+                         ::testing::Values("sim", "mem"),
+                         [](const ::testing::TestParamInfo<const char*>& info) {
+                           return std::string(info.param);
+                         });
 
 // ---------------------------------------------------------------------------
 // Move ordinals count the moves the executor attempts: entries the round's
@@ -504,7 +540,10 @@ TEST(CrashOrdinalTest, StarvedEntriesDoNotAdvanceTheMoveOrdinal) {
 
     std::vector<int64_t> budget = disks.BandwidthBudgets();
     budget[0] = disk0_budget;
-    EXPECT_EQ(migration.RunRound(budget, store, disks, policy), disk0_budget);
+    // No journaled move commits before its round's pass ends: the moves
+    // ahead of the crash are staged, not moved.
+    EXPECT_EQ(migration.RunRound(budget, store, disks, policy), 0);
+    EXPECT_EQ(store.staged_blocks(), crash_move);
     EXPECT_TRUE(migration.crashed());
     EXPECT_EQ(injector.crashes_fired(), 1);
     EXPECT_EQ(injector.moves_seen(), crash_move + 1);
@@ -553,9 +592,12 @@ TEST(CrashRecoveryTest, StreamsDieButPlacementConverges) {
 
   const StatusOr<JournalRecoveryStats> stats = server->SimulateCrashRestart();
   ASSERT_TRUE(stats.ok());
-  // The interrupted move was either rolled forward or discarded; either
-  // way exactly one entry was in flight.
-  EXPECT_EQ(stats->scanned, 1);
+  // The crash hit the commit pass after the interrupted move's copied
+  // record, so it rolls forward. The round's later moves were staged
+  // behind bare intents: each intent is discarded and its stage released.
+  EXPECT_EQ(stats->rolled_forward, 1);
+  EXPECT_EQ(stats->discarded_intents, stats->scanned - 1);
+  EXPECT_EQ(stats->orphan_stages_released, stats->scanned - 1);
   EXPECT_EQ(server->active_streams(), 0);  // Streams are volatile.
   DrainWithRestarts(*server);
   EXPECT_TRUE(server->VerifyIntegrity().ok());
