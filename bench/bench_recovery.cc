@@ -1,10 +1,12 @@
 // EXP-REC (extension) — multi-level checkpoint/restart economics: what a
 // checkpoint set costs to write, and what it buys at restart time.
 //
-// Three numbers per state size, one path each, each the best of 3 runs:
+// Four numbers per state size, one path each, each the best of 3 runs:
 //  1. checkpoint — wall cost of writing one L1 (single local copy) and one
 //     L2 (redundant) set of the full server state, and the fragment bytes
-//     the set occupies across the snapshot-location farm.
+//     the set occupies across the snapshot-location farm. The state is
+//     drained, and every timed write follows a set that compacted the
+//     journal.
 //  2. restore — cold restart from the newest checkpoint set
 //     (`RestoreFromCheckpoint`): snapshot rows land directly in the store;
 //     only the journal suffix replays.
@@ -14,6 +16,10 @@
 //     recorded epoch, and every block's placement recomputed through the
 //     full remap chain into the store. This is what a restart costs without
 //     checkpoint rows.
+//  4. mid-migration capture — `EncodeServerSnapshot(CaptureState())` while
+//     a disk removal is queued and the journal still holds the previous
+//     removal's moves, as it does between two sets of a migrating server.
+//     Both calls are const, so every run times the same state.
 //
 // The acceptance target: restore_blocks_per_second beats
 // replay_blocks_per_second at every tier, and the gap widens with op-log
@@ -172,6 +178,9 @@ struct TierResult {
   double restore_seconds = 0;
   double replay_seconds = 0;
   double degraded_seconds = 0;    // Restore after losing one location.
+  double capture_seconds = 0;     // Mid-migration capture + encode.
+  int64_t capture_journal = 0;    // Live journal entries at that capture.
+  int64_t capture_bytes = 0;      // Document bytes of that capture.
 
   double CheckpointBps() const {
     return l2_seconds > 0 ? static_cast<double>(total_blocks) / l2_seconds
@@ -185,6 +194,11 @@ struct TierResult {
   double ReplayBps() const {
     return replay_seconds > 0
                ? static_cast<double>(total_blocks) / replay_seconds
+               : 0;
+  }
+  double CaptureBps() const {
+    return capture_seconds > 0
+               ? static_cast<double>(total_blocks) / capture_seconds
                : 0;
   }
   double Speedup() const {
@@ -229,6 +243,31 @@ TierResult RunTier(const Sizes& sizes) {
     record.row.clear();
   }
   SCADDAR_CHECK(server->AttachCheckpointManager(nullptr).ok());
+
+  // --- Path 4: a mid-migration capture. -----------------------------------
+  // Detached, nothing compacts the journal: it keeps one drained removal's
+  // moves while the next removal waits in the queue. Removals, because a
+  // removed disk's blocks always move; after about fifteen scale-ups a
+  // 64-bit X0 has no randomness left to send blocks to a new disk.
+  const auto drain = [&] {
+    int64_t guard = 0;
+    while (!server->migration().idle()) {
+      server->Tick();
+      SCADDAR_CHECK(++guard < 200'000);
+    }
+  };
+  SCADDAR_CHECK(server->ScaleRemove({0}).ok());
+  drain();
+  SCADDAR_CHECK(server->ScaleRemove({0}).ok());
+  SCADDAR_CHECK(!server->migration().idle());
+  result.capture_journal = server->journal().size();
+  result.capture_seconds = best_of_3([&] {
+    std::string document;
+    const double seconds = bench::TimeSeconds(
+        [&] { document = EncodeServerSnapshot(server->CaptureState()); });
+    result.capture_bytes = static_cast<int64_t>(document.size());
+    return seconds;
+  });
   server.reset();  // The process is gone; only manager + metadata survive.
 
   // --- Path 2: cold restore from the newest checkpoint set. ---------------
@@ -277,6 +316,12 @@ void PrintTier(const TierResult& result) {
       "  throughput  restore %12.0f blk/s   replay %12.0f blk/s   "
       "speedup %5.1fx\n",
       result.RestoreBps(), result.ReplayBps(), result.Speedup());
+  std::printf(
+      "  migrating   capture %8.3f ms   journal %7lld entries   "
+      "document %6.2f MiB\n",
+      result.capture_seconds * 1e3,
+      static_cast<long long>(result.capture_journal),
+      static_cast<double>(result.capture_bytes) / (1024.0 * 1024.0));
   bench::PrintRule();
 }
 
@@ -341,6 +386,14 @@ int main(int argc, char** argv) {
                {"replay_blocks_per_second", result.ReplayBps(), 0}});
     json.Path("degraded_restore",
               {{"ms", result.degraded_seconds * 1e3, 3}});
+    json.Path("mid_migration_capture",
+              {{"ms", result.capture_seconds * 1e3, 3},
+               {"journal_entries", static_cast<double>(result.capture_journal),
+                0},
+               {"document_mib",
+                static_cast<double>(result.capture_bytes) / (1024.0 * 1024.0),
+                2},
+               {"capture_blocks_per_second", result.CaptureBps(), 0}});
     json.EndTier();
   }
 

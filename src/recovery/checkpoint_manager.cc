@@ -11,7 +11,7 @@ namespace scaddar {
 
 namespace {
 
-constexpr std::string_view kFragMagic = "scaddar-ckptfrag-v1";
+constexpr std::string_view kFragMagic = "scaddar-ckptfrag-v2";
 
 StatusOr<int64_t> ParseInt(std::string_view token) {
   return ParseIntToken(token, "checkpoint fragment");

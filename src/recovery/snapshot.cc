@@ -1,7 +1,9 @@
 #include "recovery/snapshot.h"
 
+#include <bit>
 #include <charconv>
 #include <cstdio>
+#include <cstring>
 
 #include "util/tokens.h"
 
@@ -9,20 +11,45 @@ namespace scaddar {
 
 namespace {
 
-constexpr std::string_view kServerMagic = "scaddar-ckpt-v1";
-constexpr std::string_view kClusterMagic = "scaddar-cluster-ckpt-v1";
+constexpr std::string_view kServerMagic = "scaddar-ckpt-v2";
+constexpr std::string_view kClusterMagic = "scaddar-cluster-ckpt-v2";
+
+// Row sections and checksum words are little-endian, read and written with
+// plain memcpy.
+static_assert(std::endian::native == std::endian::little,
+              "snapshot rows and checksum words are little-endian");
+
+constexpr uint64_t kPrime1 = 0x9e3779b185ebca87ull;
+constexpr uint64_t kPrime2 = 0xc2b2ae3d27d4eb4full;
+constexpr uint64_t kPrime3 = 0x165667b19e3779f9ull;
+constexpr uint64_t kPrime4 = 0x85ebca77c2b2ae63ull;
+constexpr uint64_t kPrime5 = 0x27d4eb2f165667c5ull;
+
+uint64_t LoadWord(const char* p) {
+  uint64_t word;
+  std::memcpy(&word, p, sizeof(word));
+  return word;
+}
+
+/// One lane step: injective in `word` for a fixed `lane` (odd multiplier),
+/// and a bijection of `lane` for a fixed word (add, rotate, odd multiply).
+uint64_t Mix(uint64_t lane, uint64_t word) {
+  return std::rotl(lane + word * kPrime2, 31) * kPrime1;
+}
 
 StatusOr<int64_t> ParseInt(std::string_view token) {
   return ParseIntToken(token, "snapshot");
 }
 
+/// Exactly the 16 lowercase hex digits `WrapChecksummed` writes, so that no
+/// changed header byte (an upper-cased digit, say) parses to the same sum.
 StatusOr<uint64_t> ParseHex(std::string_view token) {
-  uint64_t value = 0;
-  const auto [ptr, ec] = std::from_chars(
-      token.data(), token.data() + token.size(), value, 16);
-  if (ec != std::errc() || ptr != token.data() + token.size()) {
+  if (token.size() != 16 ||
+      token.find_first_not_of("0123456789abcdef") != std::string_view::npos) {
     return InvalidArgumentError("malformed checksum in snapshot");
   }
+  uint64_t value = 0;
+  std::from_chars(token.data(), token.data() + token.size(), value, 16);
   return value;
 }
 
@@ -58,6 +85,7 @@ class PayloadReader {
   explicit PayloadReader(std::string_view payload) : rest_(payload) {}
 
   bool done() const { return rest_.empty(); }
+  size_t left() const { return rest_.size(); }
 
   /// Next line, without the trailing newline.
   std::string_view NextLine() {
@@ -85,82 +113,80 @@ class PayloadReader {
   std::string_view rest_;
 };
 
-/// In-place integer cursor for the hot `object` row lines: from_chars over
-/// the raw bytes, no per-token string_view vector. A large snapshot is
-/// dominated by row digits, so decode speed here is restart speed.
-class IntCursor {
- public:
-  explicit IntCursor(std::string_view text) : rest_(text) {}
-
-  bool done() {
-    SkipSpaces();
-    return rest_.empty();
+/// Narrowest width in {1, 2, 4, 8} bytes that holds every id in `row`;
+/// an id outside [0, 2^32), negative ones included, takes 8. Every id fits
+/// in k bytes exactly when their bitwise OR does.
+int RowWidth(const std::vector<PhysicalDiskId>& row) {
+  uint64_t bits = 0;
+  for (const PhysicalDiskId disk : row) {
+    bits |= static_cast<uint64_t>(disk);
   }
+  return bits <= 0xff ? 1 : bits <= 0xffff ? 2 : bits <= 0xffffffff ? 4 : 8;
+}
 
-  StatusOr<int64_t> Next() {
-    SkipSpaces();
-    int64_t value = 0;
-    const auto [ptr, ec] =
-        std::from_chars(rest_.data(), rest_.data() + rest_.size(), value);
-    if (ec != std::errc() || ptr == rest_.data()) {
-      return InvalidArgumentError("malformed integer in snapshot");
-    }
-    rest_ = rest_.substr(static_cast<size_t>(ptr - rest_.data()));
-    if (!rest_.empty() && rest_.front() != ' ') {
-      return InvalidArgumentError("malformed integer in snapshot");
-    }
-    return value;
+/// Calls `fn` with a zero of the unsigned type `width` bytes wide.
+template <typename Fn>
+void WithWord(int64_t width, Fn fn) {
+  switch (width) {
+    case 1:
+      return fn(uint8_t{0});
+    case 2:
+      return fn(uint16_t{0});
+    case 4:
+      return fn(uint32_t{0});
+    default:
+      return fn(uint64_t{0});
   }
+}
 
-  std::string_view rest() const { return rest_; }
-
- private:
-  void SkipSpaces() {
-    while (!rest_.empty() && rest_.front() == ' ') {
-      rest_.remove_prefix(1);
+/// Appends `row` as `width`-byte words plus the closing newline.
+void AppendRow(std::string& out, const std::vector<PhysicalDiskId>& row,
+               int width) {
+  const size_t at = out.size();
+  out.resize(at + row.size() * static_cast<size_t>(width) + 1);
+  char* bytes = out.data() + at;
+  WithWord(width, [&](auto word) {
+    for (const PhysicalDiskId disk : row) {
+      word = static_cast<decltype(word)>(disk);
+      std::memcpy(bytes, &word, sizeof(word));
+      bytes += sizeof(word);
     }
-  }
+  });
+  out.back() = '\n';
+}
 
-  std::string_view rest_;
-};
-
-/// `object <id> <blocks> <weight> <generation> <epoch> <len> <disk>...`
-StatusOr<SnapshotObject> ParseObjectLine(std::string_view body) {
-  IntCursor cursor(body);
+/// `object <id> <blocks> <weight> <generation> <epoch> <len> <width>`, whose
+/// row section `reader` is positioned at.
+StatusOr<SnapshotObject> ParseObject(
+    const std::vector<std::string_view>& fields, PayloadReader& reader) {
   SnapshotObject object;
-  SCADDAR_ASSIGN_OR_RETURN(object.id, cursor.Next());
-  SCADDAR_ASSIGN_OR_RETURN(object.num_blocks, cursor.Next());
-  SCADDAR_ASSIGN_OR_RETURN(object.weight, cursor.Next());
-  SCADDAR_ASSIGN_OR_RETURN(object.generation, cursor.Next());
-  SCADDAR_ASSIGN_OR_RETURN(object.epoch_added, cursor.Next());
-  SCADDAR_ASSIGN_OR_RETURN(const int64_t row_len, cursor.Next());
-  if (row_len < 0) {
-    return InvalidArgumentError("object row length mismatch in snapshot");
+  SCADDAR_ASSIGN_OR_RETURN(object.id, ParseInt(fields[1]));
+  SCADDAR_ASSIGN_OR_RETURN(object.num_blocks, ParseInt(fields[2]));
+  SCADDAR_ASSIGN_OR_RETURN(object.weight, ParseInt(fields[3]));
+  SCADDAR_ASSIGN_OR_RETURN(object.generation, ParseInt(fields[4]));
+  SCADDAR_ASSIGN_OR_RETURN(object.epoch_added, ParseInt(fields[5]));
+  SCADDAR_ASSIGN_OR_RETURN(const int64_t len, ParseInt(fields[6]));
+  SCADDAR_ASSIGN_OR_RETURN(const int64_t width, ParseInt(fields[7]));
+  if (width != 1 && width != 2 && width != 4 && width != 8) {
+    return InvalidArgumentError("object row width is not 1, 2, 4 or 8");
   }
-  // The row loop is the decode hot path — one integer per block in the
-  // snapshot — so it parses raw, without a StatusOr round-trip per token.
-  object.row.resize(static_cast<size_t>(row_len));
-  const char* p = cursor.rest().data();
-  const char* const end = p + cursor.rest().size();
-  for (int64_t i = 0; i < row_len; ++i) {
-    while (p < end && *p == ' ') {
-      ++p;
+  // Bound the length by the bytes left before multiplying: a hostile length
+  // is refused here, never overflowed.
+  if (len < 0 ||
+      len > static_cast<int64_t>(reader.left() / static_cast<size_t>(width))) {
+    return InvalidArgumentError("object row runs past the snapshot payload");
+  }
+  SCADDAR_ASSIGN_OR_RETURN(const std::string_view bytes,
+                           reader.NextBlob(len * width));
+  object.row.resize(static_cast<size_t>(len));
+  WithWord(width, [&](auto word) {
+    const char* in = bytes.data();
+    for (PhysicalDiskId& disk : object.row) {
+      std::memcpy(&word, in, sizeof(word));
+      disk = static_cast<PhysicalDiskId>(word);
+      in += sizeof(word);
     }
-    int64_t disk = 0;
-    const auto [next, ec] = std::from_chars(p, end, disk);
-    if (ec != std::errc() || next == p ||
-        (next != end && *next != ' ')) {
-      return InvalidArgumentError("object row length mismatch in snapshot");
-    }
-    object.row[static_cast<size_t>(i)] = disk;
-    p = next;
-  }
-  while (p < end && *p == ' ') {
-    ++p;
-  }
-  if (p != end) {
-    return InvalidArgumentError("object row length mismatch in snapshot");
-  }
+  });
   return object;
 }
 
@@ -204,16 +230,42 @@ void AppendBlob(std::string& out, std::string_view key,
 }  // namespace
 
 uint64_t SnapshotChecksum(std::string_view data) {
-  uint64_t hash = 0xcbf29ce484222325ull;  // FNV-1a 64 offset basis.
-  for (const char c : data) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 0x100000001b3ull;  // FNV prime.
+  const char* p = data.data();
+  const char* const end = p + data.size();
+  uint64_t lane0 = kPrime1 + kPrime2;
+  uint64_t lane1 = kPrime2;
+  uint64_t lane2 = 0;
+  uint64_t lane3 = 0 - kPrime1;
+  for (; end - p >= 32; p += 32) {
+    lane0 = Mix(lane0, LoadWord(p));
+    lane1 = Mix(lane1, LoadWord(p + 8));
+    lane2 = Mix(lane2, LoadWord(p + 16));
+    lane3 = Mix(lane3, LoadWord(p + 24));
   }
+  // The fold is a bijection of each lane while the others hold, so a lane
+  // that differs keeps the sum different.
+  uint64_t hash = std::rotl(lane0, 1) + std::rotl(lane1, 7) +
+                  std::rotl(lane2, 12) + std::rotl(lane3, 18) + data.size();
+  for (; end - p >= 8; p += 8) {
+    hash = std::rotl(hash ^ Mix(0, LoadWord(p)), 27) * kPrime1 + kPrime4;
+  }
+  for (; p < end; ++p) {
+    hash = std::rotl(hash ^ (static_cast<unsigned char>(*p) * kPrime5), 11) *
+           kPrime1;
+  }
+  // Avalanche: xor-shifts and odd multiplies, each invertible.
+  hash ^= hash >> 33;
+  hash *= kPrime2;
+  hash ^= hash >> 29;
+  hash *= kPrime3;
+  hash ^= hash >> 32;
   return hash;
 }
 
 std::string WrapChecksummed(std::string_view magic, std::string_view payload) {
-  std::string out(magic);
+  std::string out;
+  out.reserve(magic.size() + 40 + payload.size());
+  out += magic;
   out += ' ';
   AppendInt(out, static_cast<int64_t>(payload.size()));
   char sum[24];
@@ -248,9 +300,19 @@ StatusOr<std::string_view> UnwrapChecksummed(std::string_view magic,
 }
 
 std::string EncodeServerSnapshot(const ServerSnapshot& snapshot) {
+  // Reserve from the real row sizes; the text lines are estimates.
+  std::vector<int> widths;
+  widths.reserve(snapshot.objects.size());
+  size_t bytes = 256 + snapshot.oplog.size() + snapshot.journal.size() +
+                 4 * snapshot.startup_latencies.size() +
+                 64 * (snapshot.reorg_triggers.size() +
+                       snapshot.staged.size() + snapshot.streams.size());
+  for (const SnapshotObject& object : snapshot.objects) {
+    widths.push_back(RowWidth(object.row));
+    bytes += 128 + object.row.size() * static_cast<size_t>(widths.back());
+  }
   std::string payload;
-  payload.reserve(256 + snapshot.oplog.size() + snapshot.journal.size() +
-                  snapshot.objects.size() * 64);
+  payload.reserve(bytes);
   payload += "policy ";
   payload += snapshot.policy;
   payload += '\n';
@@ -293,7 +355,8 @@ std::string EncodeServerSnapshot(const ServerSnapshot& snapshot) {
   }
   AppendBlob(payload, "oplog", snapshot.oplog);
   AppendBlob(payload, "journal", snapshot.journal);
-  for (const SnapshotObject& object : snapshot.objects) {
+  for (size_t i = 0; i < snapshot.objects.size(); ++i) {
+    const SnapshotObject& object = snapshot.objects[i];
     payload += "object ";
     AppendInt(payload, object.id);
     payload += ' ';
@@ -306,11 +369,10 @@ std::string EncodeServerSnapshot(const ServerSnapshot& snapshot) {
     AppendInt(payload, object.epoch_added);
     payload += ' ';
     AppendInt(payload, static_cast<int64_t>(object.row.size()));
-    for (const PhysicalDiskId disk : object.row) {
-      payload += ' ';
-      AppendInt(payload, disk);
-    }
+    payload += ' ';
+    AppendInt(payload, widths[i]);
     payload += '\n';
+    AppendRow(payload, object.row, widths[i]);
   }
   for (const auto& [ref, disk] : snapshot.staged) {
     payload += "staged ";
@@ -352,21 +414,17 @@ StatusOr<ServerSnapshot> DecodeServerSnapshot(std::string_view document) {
   bool journal_seen = false;
   PayloadReader reader(payload);
   while (!reader.done()) {
-    const std::string_view line = reader.NextLine();
-    if (line.starts_with("object ")) {
-      // Row lines carry one token per block — parse them without the
-      // generic tokenizer so large snapshots decode at restart speed.
-      SCADDAR_ASSIGN_OR_RETURN(SnapshotObject object,
-                               ParseObjectLine(line.substr(7)));
-      snapshot.objects.push_back(std::move(object));
-      continue;
-    }
-    const std::vector<std::string_view> fields = SplitTokens(line);
+    const std::vector<std::string_view> fields =
+        SplitTokens(reader.NextLine());
     if (fields.empty()) {
       continue;
     }
     const std::string_view key = fields[0];
-    if (key == "policy" && fields.size() == 2) {
+    if (key == "object" && fields.size() == 8) {
+      SCADDAR_ASSIGN_OR_RETURN(SnapshotObject object,
+                               ParseObject(fields, reader));
+      snapshot.objects.push_back(std::move(object));
+    } else if (key == "policy" && fields.size() == 2) {
       snapshot.policy = std::string(fields[1]);
       policy_seen = true;
     } else if (key == "round" && fields.size() == 2) {

@@ -18,20 +18,27 @@ namespace scaddar {
 /// captures *everything* a server needs to resume: the metadata AF() is
 /// computed from (policy + op log + catalog), plus the materialized store
 /// rows, staged copies, active stream cursors, serving counters and the
-/// move journal as of the capture instant. The rows are a restart cache:
-/// restoring them directly is what makes a checkpoint restart cheaper than
-/// replaying placement history, since no remap chain is walked per block.
+/// unfinished suffix of the move journal as of the capture instant. The
+/// rows are a restart cache: restoring them directly is what makes a
+/// checkpoint restart cheaper than replaying placement history, since no
+/// remap chain is walked per block.
 ///
 /// Every document starts with one header line
 ///
-///   <magic> <payload-bytes> <fnv1a64-hex>
+///   <magic> <payload-bytes> <checksum: 16 lowercase hex digits>
 ///
 /// and decoding rejects any document whose byte count or checksum does not
 /// match — a torn or corrupted snapshot is detected before a single field
 /// is trusted, and the checkpoint loader falls back to the previous set.
+/// The payload is text lines, except that each `object` line is followed
+/// by its row as a binary section (see `EncodeServerSnapshot`).
 
-/// FNV-1a 64 over `data` — the integrity checksum on snapshot documents
-/// and checkpoint fragments.
+/// A 64-bit word-wise checksum over `data` — the integrity checksum on
+/// snapshot documents and checkpoint fragments. xxHash64-style: four lanes
+/// of 8-byte little-endian words, folded, then the tail, then an avalanche.
+/// Every step is a bijection of the running state for a fixed input and
+/// injective in its input word for a fixed state, so any single changed
+/// byte always changes the checksum.
 uint64_t SnapshotChecksum(std::string_view data);
 
 /// Prepends the `<magic> <bytes> <checksum>` header line to `payload`.
@@ -74,7 +81,10 @@ struct SnapshotStream {
 struct ServerSnapshot {
   std::string policy;
   std::string oplog;    // OpLog::Serialize text.
-  std::string journal;  // MoveJournal::Serialize text as of the capture.
+  // MoveJournal::SerializeUnfinished text as of the capture: only the moves
+  // still in flight (none at a round boundary) plus the next id. The rows
+  // and staged copies already record every committed or aborted move.
+  std::string journal;
   std::vector<SnapshotObject> objects;  // Catalog registration order.
   std::vector<std::pair<BlockRef, PhysicalDiskId>> staged;
   std::vector<SnapshotStream> streams;
@@ -100,6 +110,11 @@ struct ServerSnapshot {
   std::vector<ReorgTrigger> reorg_triggers;
 };
 
+/// Encodes `snapshot` as one `scaddar-ckpt-v2` document. Each object is a
+/// text line `object <id> <blocks> <weight> <generation> <epoch> <len>
+/// <width>` followed by its row: `len` disk ids of `width` bytes each,
+/// little-endian, then a newline. `width` is the narrowest of 1, 2, 4 and 8
+/// bytes that holds the row's largest id; ids outside [0, 2^32) take 8.
 std::string EncodeServerSnapshot(const ServerSnapshot& snapshot);
 StatusOr<ServerSnapshot> DecodeServerSnapshot(std::string_view document);
 

@@ -649,7 +649,7 @@ ServerSnapshot CmServer::CaptureState() const {
   ServerSnapshot snapshot;
   snapshot.policy = std::string(policy_->name());
   snapshot.oplog = policy_->log().Serialize();
-  snapshot.journal = journal_.Serialize();
+  snapshot.journal = journal_.SerializeUnfinished();
   for (const ObjectId id : catalog_.object_ids()) {
     const CmObject object = catalog_.GetObject(id).value();
     SnapshotObject record;
@@ -702,9 +702,11 @@ Status CmServer::WriteCheckpoint(int level) {
     }
     return written.status();
   }
-  // The set covers every committed move; the journal's committed prefix is
-  // dead weight from here on (this is what keeps restart-from-checkpoint
-  // cheaper than full replay: the retained journal suffix stays short).
+  // The set is durable and covers every committed move, so the journal's
+  // committed prefix is dead weight from here on (this is what keeps
+  // restart-from-checkpoint cheaper than full replay: the retained suffix
+  // stays short). Not before: a killed write restarts from the previous
+  // set, and replays these entries over it.
   journal_.Compact();
   return OkStatus();
 }
@@ -1021,6 +1023,9 @@ StatusOr<std::unique_ptr<CmServer>> CmServer::FromSnapshotDocument(
                            DecodeServerSnapshot(document));
   std::unique_ptr<CmServer> server(new CmServer(config));
   // The embedded journal is the WAL here: a cold restore has no newer text.
+  // It holds only the moves in flight at the capture; replaying finished
+  // ones over rows that already record them could find a block that moved
+  // twice on neither end of its first move.
   SCADDAR_RETURN_IF_ERROR(
       server->LoadFromState(snapshot, snapshot.journal, stats));
   return server;

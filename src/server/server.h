@@ -222,16 +222,17 @@ class CmServer {
   Status EnableCheckpoints(CheckpointManager* manager, int64_t every,
                            int64_t level2_every = 0);
 
-  /// Captures the full serving state — policy metadata, op log, journal
-  /// text, materialized rows, staged copies, stream cursors and counters.
-  /// Valid mid-migration: rows + staged + journal describe the in-between
-  /// state exactly.
+  /// Captures the full serving state — policy metadata, op log, the
+  /// journal's unfinished suffix, materialized rows, staged copies, stream
+  /// cursors and counters. Valid mid-migration: rows + staged + unfinished
+  /// journal entries describe the in-between state exactly.
   ServerSnapshot CaptureState() const;
 
   /// Encodes the current state and writes one checkpoint set at `level`.
-  /// On success the journal's committed prefix is compacted (the set now
-  /// covers it). An injected snapshot-phase kill marks the server crashed
-  /// and returns Unavailable.
+  /// Only once the set is durable is the journal's committed prefix
+  /// compacted (the set now covers it); a killed write leaves it live for
+  /// the restart to replay over the previous set. An injected
+  /// snapshot-phase kill marks the server crashed and returns Unavailable.
   Status WriteCheckpoint(int level);
 
   /// Simulates a process kill and restarts *in place* from the newest valid

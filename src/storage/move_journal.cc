@@ -1,5 +1,6 @@
 #include "storage/move_journal.h"
 
+#include <algorithm>
 #include <cstdio>
 
 #include "util/tokens.h"
@@ -12,6 +13,11 @@ constexpr std::string_view kHeader = "moves-v1";
 
 StatusOr<int64_t> ParseInt(std::string_view token) {
   return ParseIntToken(token, "move journal");
+}
+
+bool Finished(const JournalEntry& entry) {
+  return entry.phase == JournalPhase::kCommitted ||
+         entry.phase == JournalPhase::kAborted;
 }
 
 }  // namespace
@@ -59,21 +65,33 @@ void MoveJournal::MarkAborted(int64_t id) {
 }
 
 void MoveJournal::Compact() {
-  while (!entries_.empty() &&
-         (entries_.front().phase == JournalPhase::kCommitted ||
-          entries_.front().phase == JournalPhase::kAborted)) {
+  while (!entries_.empty() && Finished(entries_.front())) {
     entries_.pop_front();
   }
 }
 
 std::string MoveJournal::Serialize() const {
+  return SerializeFrom(entries_.begin());
+}
+
+std::string MoveJournal::SerializeUnfinished() const {
+  // With nothing pending every entry is finished: no scan needed.
+  return SerializeFrom(pending_ == 0 ? entries_.end()
+                                     : std::find_if_not(entries_.begin(),
+                                                        entries_.end(),
+                                                        Finished));
+}
+
+std::string MoveJournal::SerializeFrom(
+    std::deque<JournalEntry>::const_iterator first) const {
   std::string out(kHeader);
   out += '\n';
   char buffer[160];
   std::snprintf(buffer, sizeof(buffer), "next %lld\n",
                 static_cast<long long>(next_id_));
   out += buffer;
-  for (const JournalEntry& entry : entries_) {
+  for (; first != entries_.end(); ++first) {
+    const JournalEntry& entry = *first;
     std::snprintf(buffer, sizeof(buffer), "move %lld %lld %lld %lld %lld %d\n",
                   static_cast<long long>(entry.id),
                   static_cast<long long>(entry.block.object),
@@ -129,8 +147,7 @@ StatusOr<MoveJournal> MoveJournal::Deserialize(std::string_view text) {
         return InvalidArgumentError("move journal ids are not consecutive");
       }
       journal.entries_.push_back(entry);
-      if (entry.phase != JournalPhase::kCommitted &&
-          entry.phase != JournalPhase::kAborted) {
+      if (!Finished(entry)) {
         ++journal.pending_;
       }
     } else {
@@ -150,8 +167,7 @@ StatusOr<MoveJournal> MoveJournal::Deserialize(std::string_view text) {
 StatusOr<JournalRecoveryStats> MoveJournal::Recover(BlockStore& store) {
   JournalRecoveryStats stats;
   for (JournalEntry& entry : entries_) {
-    if (entry.phase == JournalPhase::kCommitted ||
-        entry.phase == JournalPhase::kAborted) {
+    if (Finished(entry)) {
       continue;
     }
     ++stats.scanned;

@@ -91,6 +91,12 @@ class MoveJournal {
   std::string Serialize() const;
   static StatusOr<MoveJournal> Deserialize(std::string_view text);
 
+  /// The same text for only the suffix `Compact` would keep: the entries
+  /// from the first unfinished one on, plus `next`. A checkpoint embeds
+  /// this, since its rows and staged copies already record every finished
+  /// move; at a round boundary nothing is unfinished and it holds no entry.
+  std::string SerializeUnfinished() const;
+
   /// Crash recovery: replays every non-committed entry against the durable
   /// `store` and releases orphaned staged copies, leaving the store with
   /// zero staged blocks and every journaled move either fully applied or
@@ -101,6 +107,8 @@ class MoveJournal {
 
  private:
   JournalEntry& EntryFor(int64_t id);
+  std::string SerializeFrom(std::deque<JournalEntry>::const_iterator first)
+      const;
 
   std::deque<JournalEntry> entries_;
   int64_t next_id_ = 0;

@@ -75,6 +75,157 @@ TEST(SnapshotFormatTest, ServerSnapshotRoundTrips) {
   EXPECT_FALSE(DecodeServerSnapshot(corrupt).ok());
 }
 
+// A small server state with every kind of section: rows of each width (an
+// id outside [0, 2^32) included), a staged copy, a stream, latencies and
+// the governor lines.
+ServerSnapshot SmallSnapshot() {
+  ServerSnapshot snapshot;
+  snapshot.policy = "scaddar";
+  snapshot.oplog = "oplog text\nover two lines";
+  snapshot.journal = "moves-v1\nnext 12\n";
+  snapshot.objects.push_back(SnapshotObject{1, 4, 1, 0, 0, {0, 10, 3, 255}});
+  snapshot.objects.push_back(SnapshotObject{2, 3, 2, 1, 0, {256, 10, 65535}});
+  snapshot.objects.push_back(SnapshotObject{3, 2, 1, 0, 1, {65536, 7}});
+  snapshot.objects.push_back(
+      SnapshotObject{4, 3, 1, 0, 1, {-1, int64_t{1} << 32, 2}});
+  snapshot.objects.push_back(SnapshotObject{5, 0, 1, 0, 1, {}});
+  snapshot.staged.emplace_back(BlockRef{1, 2}, 9);
+  snapshot.streams.push_back(SnapshotStream{42, 1, 2, 1, 10, 3, false, true});
+  snapshot.startup_latencies = {1, 2, 2};
+  snapshot.round = 123;
+  snapshot.governor_bits = 24;
+  snapshot.governor_eps = 0.05;
+  snapshot.reorg_triggers.push_back(ReorgTrigger{7, ReorgReason::kCov, 0.4});
+  return snapshot;
+}
+
+std::string SmallClusterDocument() {
+  ClusterSnapshot cluster;
+  cluster.seats = {0, 1};
+  cluster.next_member = 2;
+  cluster.owners = {{1, 0}, {2, 1}};
+  cluster.shards.push_back(
+      ClusterSnapshotShard{0, false, EncodeServerSnapshot(SmallSnapshot())});
+  cluster.shards.push_back(
+      ClusterSnapshotShard{1, false, EncodeServerSnapshot(SmallSnapshot())});
+  return EncodeClusterSnapshot(cluster);
+}
+
+// A cluster document decodes only if every nested shard document does.
+bool ClusterDecodes(std::string_view document) {
+  const auto cluster = DecodeClusterSnapshot(document);
+  if (!cluster.ok()) {
+    return false;
+  }
+  for (const ClusterSnapshotShard& shard : cluster->shards) {
+    if (!DecodeServerSnapshot(shard.document).ok()) {
+      return false;
+    }
+  }
+  return true;
+}
+
+TEST(SnapshotFormatTest, EveryRowWidthRoundTrips) {
+  const ServerSnapshot snapshot = SmallSnapshot();
+  const auto decoded = DecodeServerSnapshot(EncodeServerSnapshot(snapshot));
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(decoded->objects, snapshot.objects);
+  EXPECT_EQ(decoded->staged, snapshot.staged);
+  EXPECT_EQ(decoded->streams, snapshot.streams);
+  EXPECT_EQ(decoded->journal, snapshot.journal);
+  EXPECT_EQ(decoded->oplog, snapshot.oplog);
+  EXPECT_EQ(decoded->reorg_triggers, snapshot.reorg_triggers);
+  EXPECT_TRUE(ClusterDecodes(SmallClusterDocument()));
+}
+
+TEST(SnapshotFormatTest, EverySingleByteChangeFailsToDecode) {
+  // Header line, text lines and binary rows alike: any one byte changed to
+  // any other value is caught, for the document and for a cluster document
+  // that nests it.
+  std::string server = EncodeServerSnapshot(SmallSnapshot());
+  for (char& byte : server) {
+    for (int mask = 1; mask < 256; ++mask) {
+      byte = static_cast<char>(byte ^ mask);
+      ASSERT_FALSE(DecodeServerSnapshot(server).ok())
+          << "offset " << &byte - server.data() << " mask " << mask;
+      byte = static_cast<char>(byte ^ mask);
+    }
+  }
+  std::string cluster = SmallClusterDocument();
+  for (char& byte : cluster) {
+    for (int mask = 1; mask < 256; ++mask) {
+      byte = static_cast<char>(byte ^ mask);
+      ASSERT_FALSE(ClusterDecodes(cluster))
+          << "offset " << &byte - cluster.data() << " mask " << mask;
+      byte = static_cast<char>(byte ^ mask);
+    }
+  }
+}
+
+TEST(SnapshotFormatTest, EveryTruncationFailsToDecode) {
+  const std::string server = EncodeServerSnapshot(SmallSnapshot());
+  for (size_t size = 0; size < server.size(); ++size) {
+    ASSERT_FALSE(DecodeServerSnapshot(server.substr(0, size)).ok())
+        << "size " << size;
+  }
+  const std::string cluster = SmallClusterDocument();
+  for (size_t size = 0; size < cluster.size(); ++size) {
+    ASSERT_FALSE(ClusterDecodes(cluster.substr(0, size))) << "size " << size;
+  }
+}
+
+// Re-signs `document` with object 1's row length and width replaced: a
+// checksum-valid document whose only fault is in that `object` line.
+std::string WithObjectLine(std::string_view document, std::string_view len,
+                           std::string_view width) {
+  std::string payload(UnwrapChecksummed("scaddar-ckpt-v2", document).value());
+  const std::string old_line = "object 1 4 1 0 0 4 1\n";
+  const size_t at = payload.find(old_line);
+  SCADDAR_CHECK(at != std::string::npos);
+  payload.replace(at, old_line.size(),
+                  "object 1 4 1 0 0 " + std::string(len) + " " +
+                      std::string(width) + "\n");
+  return WrapChecksummed("scaddar-ckpt-v2", payload);
+}
+
+TEST(SnapshotFormatTest, HostileRowLengthsAndWidthsAreRejected) {
+  const std::string server = EncodeServerSnapshot(SmallSnapshot());
+  // The unedited line decodes, so every failure below is the edit's.
+  ASSERT_TRUE(DecodeServerSnapshot(WithObjectLine(server, "4", "1")).ok());
+  const auto rejected = [](const std::string& document) {
+    const auto decoded = DecodeServerSnapshot(document);
+    return !decoded.ok() &&
+           decoded.status().code() == StatusCode::kInvalidArgument;
+  };
+  const std::string bytes_left = std::to_string(server.size());
+  // Length times width overflows int64, or runs past the payload.
+  for (const auto& [len, width] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"9223372036854775807", "8"},
+           {"2305843009213693952", "8"},  // 2^61: 2^64 bytes.
+           {"4611686018427387904", "4"},  // 2^62: 2^64 bytes.
+           {"9223372036854775807", "1"},
+           {bytes_left, "1"},
+           {bytes_left, "8"},
+           {"5", "1"},
+           {"-1", "1"},
+           {"-4611686018427387904", "2"}}) {
+    EXPECT_TRUE(rejected(WithObjectLine(server, len, width)))
+        << "len " << len << " width " << width;
+  }
+  for (const char* width : {"0", "3", "5", "6", "7", "9", "16", "-1", "-8"}) {
+    EXPECT_TRUE(rejected(WithObjectLine(server, "4", width)))
+        << "width " << width;
+  }
+  // Nested in a cluster document, the same line still fails.
+  ClusterSnapshot cluster;
+  cluster.seats = {0};
+  cluster.next_member = 1;
+  cluster.shards.push_back(ClusterSnapshotShard{
+      0, false, WithObjectLine(server, "9223372036854775807", "8")});
+  EXPECT_FALSE(ClusterDecodes(EncodeClusterSnapshot(cluster)));
+}
+
 // ---------------------------------------------------------------------------
 // CheckpointManager: write levels, fallback load, redundancy.
 
@@ -458,6 +609,51 @@ TEST(KillRestartTest, ColdRestoreBuildsAFreshServer) {
   EXPECT_GT(manager.num_sets(), sets_before);
 }
 
+// Blocks with at least two committed moves in `server`'s live journal.
+int64_t BlocksMovedTwice(const CmServer& server) {
+  std::map<std::pair<ObjectId, BlockIndex>, int> commits;
+  int64_t moved_twice = 0;
+  for (const JournalEntry& entry : server.journal().entries()) {
+    if (entry.phase == JournalPhase::kCommitted &&
+        ++commits[{entry.block.object, entry.block.block}] == 2) {
+      ++moved_twice;
+    }
+  }
+  return moved_twice;
+}
+
+TEST(KillRestartTest, ColdRestoreOfBlocksThatMovedTwice) {
+  // No manager: the live journal never compacts, and holds blocks that
+  // moved onto disk 8 and off it again. The document embeds only the
+  // unfinished suffix, so a restore never replays a finished move over rows
+  // that already record a later one.
+  ServerConfig config;
+  config.initial_disks = 8;
+  config.journal_migration = true;
+  auto server = std::move(CmServer::Create(config)).value();
+  for (ObjectId id = 1; id <= 4; ++id) {
+    ASSERT_TRUE(server->AddObject(id, 500).ok());
+  }
+  const auto drain = [](CmServer& s) {
+    int64_t guard = 0;
+    while (!s.migration().idle()) {
+      s.Tick();
+      ASSERT_LT(++guard, 10'000);
+    }
+  };
+  ASSERT_TRUE(server->ScaleAdd(2).ok());
+  drain(*server);
+  ASSERT_TRUE(server->ScaleRemove({8}).ok());
+  drain(*server);
+  ASSERT_GT(BlocksMovedTwice(*server), 0);
+
+  const auto restored = CmServer::FromSnapshotDocument(
+      config, EncodeServerSnapshot(server->CaptureState()));
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  EXPECT_EQ(Placement(**restored), Placement(*server));
+  EXPECT_TRUE((*restored)->VerifyIntegrity().ok());
+}
+
 TEST(KillRestartTest, RefusedWithoutManagerAndWithRealIoBackend) {
   auto server = std::move(CmServer::Create(RecoveryConfig(0xabc6))).value();
   EXPECT_EQ(server->KillRestartFromCheckpoint().status().code(),
@@ -644,6 +840,41 @@ ClusterConfig RecoveryClusterConfig() {
   config.shard.initial_disks = 4;
   config.initial_shards = 3;
   return config;
+}
+
+TEST(ClusterCheckpointTest, ShardBlocksThatMovedTwiceRestore) {
+  // A shard has no manager and never compacts its journal; blocks that
+  // moved twice on it must not break the cluster's cold restore.
+  const ClusterConfig config = RecoveryClusterConfig();
+  auto cluster = std::move(ClusterServer::Create(config)).value();
+  for (ObjectId id = 1; id <= 9; ++id) {
+    ASSERT_TRUE(cluster->AddObject(id, 200).ok());
+  }
+  const int member = cluster->members().front();
+  CmServer& shard = *cluster->shard(member);
+  const auto drain = [&] {
+    int64_t guard = 0;
+    while (!cluster->MigrationIdle()) {
+      cluster->Tick();
+      ASSERT_LT(++guard, 10'000);
+    }
+  };
+  ASSERT_TRUE(shard.ScaleAdd(2).ok());
+  drain();
+  ASSERT_TRUE(shard.ScaleRemove({4}).ok());
+  drain();
+  ASSERT_GT(BlocksMovedTwice(shard), 0);
+
+  CheckpointManager manager;
+  ASSERT_TRUE(cluster->WriteCheckpoint(manager, 1).ok());
+  const auto restored = ClusterServer::RestoreFromCheckpoint(config, manager);
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  for (const int id : cluster->members()) {
+    EXPECT_EQ(Placement(*(*restored)->shard(id)),
+              Placement(*cluster->shard(id)))
+        << "shard " << id;
+  }
+  EXPECT_TRUE((*restored)->VerifyIntegrity().ok());
 }
 
 TEST(ClusterCheckpointTest, RestoreRebuildsRoutingOwnersAndShards) {

@@ -101,10 +101,10 @@ TEST(SnapshotTest, RejectsCorruptedInput) {
   EXPECT_FALSE(CmServer::FromSnapshotDocument(config, flipped).ok());
   // Checksummed, but not a snapshot payload.
   EXPECT_FALSE(CmServer::FromSnapshotDocument(
-                   config, WrapChecksummed("scaddar-ckpt-v1", "unknown 1\n"))
+                   config, WrapChecksummed("scaddar-ckpt-v2", "unknown 1\n"))
                    .ok());
   EXPECT_FALSE(CmServer::FromSnapshotDocument(
-                   config, WrapChecksummed("scaddar-ckpt-v1", ""))
+                   config, WrapChecksummed("scaddar-ckpt-v2", ""))
                    .ok());
 }
 
